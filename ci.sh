@@ -35,6 +35,12 @@ cargo test -q --offline --test e2e_proc
 echo "==> observability e2e (GetMetrics scrape + flood accounting)"
 cargo test -q --offline --test e2e_obs
 
+# The benchmark package (perfbench/, its own workspace) has a self-test
+# whose layer probes call the Server API directly; run it so a change to
+# that API cannot break the benchmark unnoticed.
+echo "==> perfbench self-test"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 

@@ -593,12 +593,12 @@ fn run_bandwidth(sc: &Scenario) -> Json {
 // ---------------------------------------------------------------------------
 
 /// Measures server verify throughput over a fixed pre-encoded submission
-/// set. `batch = 1` is the per-submission path: a fresh verification
-/// context (kernel precompute + setup) for every submission via
-/// [`Cluster::process`] or a one-submission `run_batch` call. Larger
-/// batches run the batched pipeline (one context per `batch` submissions,
-/// scratch reuse, optional verify pool), which is bit-identical in its
-/// decisions — only the amortization changes.
+/// set. `batch = 1` gives every submission its own verification context
+/// (kernel precompute + setup) via [`Cluster::process`] or a one-submission
+/// `run_batch` call. Larger batches share one context per `batch`
+/// submissions (scratch reuse, optional verify pool). Both run the same
+/// batch-verification core with the same decisions; only the amortization
+/// changes.
 fn run_batch_verify(sc: &Scenario) -> Json {
     let mut rng = StdRng::seed_from_u64(sc.seed);
     let afe = SumAfe::new(sc.size as u32);

@@ -54,13 +54,6 @@ pub fn blob_from_bytes<F: FieldElement>(mut bytes: &[u8]) -> Result<ShareBlob<F>
 /// Server-to-server protocol messages for batched verification.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerMsg<F: FieldElement> {
-    /// Batch header from the leader: shared verification randomness.
-    BatchStart {
-        /// Seed from which every server derives the same `(r, ρ)`.
-        ctx_seed: u64,
-        /// Number of submissions in the batch.
-        count: u64,
-    },
     /// Round-1 broadcasts for a batch, one `(d, e)` pair per submission.
     ///
     /// Every mid-protocol round message carries the batch's context seed:
@@ -113,7 +106,8 @@ pub enum ServerMsg<F: FieldElement> {
     Shutdown,
 }
 
-const TAG_BATCH_START: u8 = 1;
+// Tag 1 is retired and stays unassigned, so a frame carrying it is
+// rejected rather than misread as another message.
 const TAG_ROUND1: u8 = 2;
 const TAG_ROUND1_COMBINED: u8 = 3;
 const TAG_ROUND2: u8 = 4;
@@ -126,11 +120,6 @@ const TAG_SHUTDOWN: u8 = 9;
 impl<F: FieldElement> Wire for ServerMsg<F> {
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
-            ServerMsg::BatchStart { ctx_seed, count } => {
-                buf.put_u8(TAG_BATCH_START);
-                buf.put_u64_le(*ctx_seed);
-                buf.put_u64_le(*count);
-            }
             ServerMsg::Round1 { ctx, msgs } => {
                 buf.put_u8(TAG_ROUND1);
                 buf.put_u64_le(*ctx);
@@ -196,15 +185,6 @@ impl<F: FieldElement> Wire for ServerMsg<F> {
         }
         let tag = buf.get_u8();
         match tag {
-            TAG_BATCH_START => {
-                if buf.remaining() < 16 {
-                    return Err(WireError("truncated batch header"));
-                }
-                Ok(ServerMsg::BatchStart {
-                    ctx_seed: buf.get_u64_le(),
-                    count: buf.get_u64_le(),
-                })
-            }
             TAG_ROUND1 | TAG_ROUND1_COMBINED => {
                 if buf.remaining() < 8 {
                     return Err(WireError("truncated round1 ctx"));
@@ -323,10 +303,6 @@ mod tests {
     #[test]
     fn server_msgs_roundtrip() {
         let msgs: Vec<ServerMsg<Field64>> = vec![
-            ServerMsg::BatchStart {
-                ctx_seed: 99,
-                count: 3,
-            },
             ServerMsg::Round1 {
                 ctx: 11,
                 msgs: vec![Round1Msg {

@@ -6,7 +6,7 @@ use prio_circuit::Circuit;
 use prio_crypto::prg::PrgRng;
 use prio_field::FieldElement;
 use prio_snip::{
-    verifier::{verify_round1, verify_round1_batch, verify_round2, verify_round2_batch},
+    verifier::{verify_round1_batch, verify_round2_batch},
     HForm, Round1Msg, Round2Msg, ServerState, SnipError, SnipProofShare, VerifierContext,
     VerifyMode,
 };
@@ -120,57 +120,36 @@ impl<F: FieldElement, A: Afe<F>> Server<F, A> {
         )
     }
 
-    /// Runs SNIP verification round 1 for one submission.
-    pub fn round1(
-        &self,
-        ctx: &VerifierContext<F>,
-        x_share: &[F],
-        proof: &SnipProofShare<F>,
-    ) -> Result<(ServerState<F>, Round1Msg<F>), SnipError> {
-        verify_round1(ctx, &self.circuit, x_share, proof, self.is_leader())
-    }
-
     /// Batch entry point: runs round 1 for a whole batch under one shared
     /// context, chunking the batch across `threads` std worker threads
     /// (`threads ≤ 1` runs inline). Each worker runs its own
     /// `prio_snip::BatchVerifier` over the borrowed context (per-worker
     /// scratch buffers, no context copies); results are merged back in
     /// submission order, so the output is deterministic and bit-identical
-    /// to calling [`Server::round1`] per submission.
+    /// to running `prio_snip::verifier::verify_round1` per submission.
     pub fn round1_batch(
         &self,
         ctx: &VerifierContext<F>,
         subs: &[(&[F], &SnipProofShare<F>)],
         threads: usize,
-    ) -> Vec<prio_snip::Round1Result<F>>
-    where
-        A: Sync,
-    {
+    ) -> Vec<prio_snip::Round1Result<F>> {
+        let (circuit, leader) = (&self.circuit, self.is_leader());
         let threads = threads.max(1).min(subs.len().max(1));
         if threads == 1 {
-            return verify_round1_batch(ctx, &self.circuit, subs, self.is_leader());
+            return verify_round1_batch(ctx, circuit, subs, leader);
         }
         let chunk = subs.len().div_ceil(threads);
         let mut out = Vec::with_capacity(subs.len());
         std::thread::scope(|scope| {
             let workers: Vec<_> = subs
                 .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        verify_round1_batch(ctx, &self.circuit, part, self.is_leader())
-                    })
-                })
+                .map(|part| scope.spawn(move || verify_round1_batch(ctx, circuit, part, leader)))
                 .collect();
             for worker in workers {
                 out.extend(worker.join().expect("verify worker panicked"));
             }
         });
         out
-    }
-
-    /// Runs SNIP verification round 2 for one submission.
-    pub fn round2(&self, state: &ServerState<F>, combined: &[Round1Msg<F>]) -> Round2Msg<F> {
-        verify_round2(state, combined)
     }
 
     /// Batch round 2: `combined[j]` is the summed round-1 broadcast for
@@ -255,16 +234,18 @@ mod tests {
             let unpacked: Vec<_> = (0..s)
                 .map(|i| servers[i].unpack(&sub.blobs[i], sub.prg_label).unwrap())
                 .collect();
-            let r1: Vec<_> = (0..s)
+            let (states, msgs): (Vec<_>, Vec<_>) = (0..s)
                 .map(|i| {
-                    servers[i]
-                        .round1(&ctx, &unpacked[i].0, &unpacked[i].1)
-                        .unwrap()
+                    let item = (unpacked[i].0.as_slice(), &unpacked[i].1);
+                    servers[i].round1_batch(&ctx, &[item], 1).remove(0).unwrap()
                 })
-                .collect();
-            let msgs: Vec<_> = r1.iter().map(|(_, m)| *m).collect();
+                .unzip();
+            let combined = Round1Msg {
+                d: msgs.iter().map(|m| m.d).sum(),
+                e: msgs.iter().map(|m| m.e).sum(),
+            };
             let r2: Vec<_> = (0..s)
-                .map(|i| servers[i].round2(&r1[i].0, &msgs))
+                .map(|i| servers[i].round2_batch(&states[i..=i], &[combined])[0])
                 .collect();
             assert!(decide(&r2));
             for (i, (x, _)) in unpacked.iter().enumerate() {

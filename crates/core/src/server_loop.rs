@@ -1,15 +1,18 @@
 //! The transport-agnostic server event loop, shared by every deployment
 //! flavour.
 //!
-//! [`run_server_loop`] is the one implementation of the per-server side of
-//! the batched verification protocol: the in-process threaded
-//! [`Deployment`](crate::Deployment) runs it on `s` threads over one
-//! shared fabric, and the `prio-node` binary of the multi-process
-//! `prio_proc` subsystem runs the *same function* over a per-process
-//! [`TcpTransport`](prio_net::TcpTransport) whose peers were registered
-//! through the control plane. Factoring it here is what keeps the two
-//! execution fabrics protocol-identical: there is no second copy to
-//! drift.
+//! [`run_server_loop`] is the I/O half of one server's side of the batched
+//! verification protocol. The protocol steps themselves (unpack, round 1,
+//! combine, round 2, decide, accumulate) live in [`crate::verify`], the
+//! sans-I/O core that [`Cluster`](crate::Cluster) also runs; this loop only
+//! moves their vectors as frames, and owns what that takes: gathers, the
+//! out-of-phase stash, ingest dedup, gather deadlines, send retry and
+//! trace spans. The in-process threaded [`Deployment`](crate::Deployment)
+//! runs it on `s` threads over one shared fabric, and the `prio-node`
+//! binary of the multi-process `prio_proc` subsystem runs the *same
+//! function* over a per-process [`TcpTransport`](prio_net::TcpTransport)
+//! whose peers were registered through the control plane, so the two
+//! execution fabrics stay protocol-identical.
 //!
 //! The loop owns nothing: it borrows the [`Server`] (so the caller can
 //! read accumulators and counters afterwards) and the [`Endpoint`], and
@@ -17,16 +20,16 @@
 //! verification-phase byte count (sampled when the publish request
 //! arrives — the Figure-6 quantity).
 
-use crate::cluster::PhaseTimings;
 use crate::messages::{blob_from_bytes, pack_decisions, unpack_decisions, ServerMsg};
 use crate::server::Server;
+use crate::verify::{self, Batch, PhaseClock, PhaseTimings};
 use prio_afe::Afe;
 use prio_field::FieldElement;
-use prio_net::wire::{from_traced_bytes, to_traced_bytes, Wire};
+use prio_net::wire::{from_traced_bytes, to_traced_bytes};
 use prio_net::{Endpoint, NodeId, RecvTimeoutError, RetryPolicy};
 use prio_obs::trace::{SpanKind, TraceRecorder};
 use prio_obs::{names, Obs, Span, TraceCtx};
-use prio_snip::{decide, Round1Msg};
+use prio_snip::Round1Msg;
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
@@ -41,6 +44,7 @@ const TARGET: &str = "core::server_loop";
 pub(crate) struct LoopMetrics {
     pub(crate) drop_unknown_sender: prio_obs::Counter,
     pub(crate) drop_undecodable: prio_obs::Counter,
+    pub(crate) drop_wrong_length: prio_obs::Counter,
     pub(crate) drop_stash_overflow: prio_obs::Counter,
     pub(crate) drop_unexpected_kind: prio_obs::Counter,
     pub(crate) accepted: prio_obs::Counter,
@@ -49,10 +53,6 @@ pub(crate) struct LoopMetrics {
     pub(crate) deduped: prio_obs::Counter,
     pub(crate) batches_abandoned: prio_obs::Counter,
     pub(crate) batch_size: prio_obs::Histogram,
-    pub(crate) phase_unpack: prio_obs::Histogram,
-    pub(crate) phase_round1: prio_obs::Histogram,
-    pub(crate) phase_round2: prio_obs::Histogram,
-    pub(crate) phase_publish: prio_obs::Histogram,
     pub(crate) stash_depth: prio_obs::Gauge,
     pub(crate) events: prio_obs::Events,
 }
@@ -65,6 +65,8 @@ impl LoopMetrics {
                 .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "unknown_sender")]),
             drop_undecodable: reg
                 .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "undecodable")]),
+            drop_wrong_length: reg
+                .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "wrong_length")]),
             drop_stash_overflow: reg
                 .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "stash_overflow")]),
             drop_unexpected_kind: reg
@@ -77,18 +79,14 @@ impl LoopMetrics {
             deduped: reg.counter(names::SERVER_FRAMES_DEDUPED, &[]),
             batches_abandoned: reg.counter(names::SERVER_BATCHES_ABANDONED, &[]),
             batch_size: reg.histogram(names::SERVER_BATCH_SIZE, &[]),
-            phase_unpack: reg.histogram(names::SERVER_PHASE_US, &[("phase", "unpack")]),
-            phase_round1: reg.histogram(names::SERVER_PHASE_US, &[("phase", "round1")]),
-            phase_round2: reg.histogram(names::SERVER_PHASE_US, &[("phase", "round2")]),
-            phase_publish: reg.histogram(names::SERVER_PHASE_US, &[("phase", "publish")]),
             stash_depth: reg.gauge(names::SERVER_STASH_DEPTH, &[]),
             events: obs.events().clone(),
         }
     }
 }
 
-/// What the loop does with a frame it cannot decode or whose sender is not
-/// part of the deployment.
+/// What the loop does with a frame it cannot decode, whose sender is not
+/// part of the deployment, or whose round vector does not fit the batch.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FramePolicy {
     /// Panic. Right for in-process deployments, where every sender is
@@ -209,19 +207,30 @@ const MAX_LENIENT_STASH: usize = 4096;
 /// batches deep is far beyond any realistic duplication horizon.
 const MAX_SEEN_BATCHES: usize = 4096;
 
-/// How one [`recv_matching`] wait ended.
-enum RecvOutcome<F: FieldElement> {
-    /// The wanted message arrived (or was stashed earlier), with the
-    /// sender it came from and the trace context its frame carried.
-    Msg(NodeId, ServerMsg<F>, Option<TraceCtx>),
-    /// The fabric closed underneath the loop.
-    Closed,
-    /// The caller's deadline expired first.
+/// A received message: its sender, the message, and the trace context its
+/// frame carried.
+type Received<F> = (NodeId, ServerMsg<F>, Option<TraceCtx>);
+
+/// Why a receive or a batch ended early.
+enum Interrupt {
+    /// The loop cannot go on: the fabric closed, a send failed for good,
+    /// or the batch's verification context could not be derived.
+    Stop,
+    /// A gather deadline expired first.
     Deadline,
 }
 
-/// Receives the next message matching `want`, stashing any other valid
-/// message for a later phase; an optional `deadline` bounds the wait.
+/// The batch in flight: its id (the context seed), its size, and the
+/// deadline on its gathers.
+struct InFlight {
+    ctx: u64,
+    count: usize,
+    deadline: Option<Instant>,
+}
+
+/// The loop's receive side: the endpoint, the out-of-phase stash, the
+/// frame policy with the senders it admits, and the tally of dropped
+/// frames for the report.
 ///
 /// The sim fabric funnels every sender into one queue, so messages arrive
 /// in global send order — but over TCP each sender has its own connection
@@ -230,154 +239,178 @@ enum RecvOutcome<F: FieldElement> {
 /// non-leader's `Round1` can overtake the driver's `ClientBatch` at the
 /// leader. The stash makes the server loop transport-agnostic: a message
 /// for a later phase waits its turn instead of tripping a protocol panic.
-///
-/// Under [`FramePolicy::Lenient`], frames from senders outside the
-/// deployment and frames that fail to decode are counted in
-/// `server_frames_dropped_total{reason=...}` (and tallied into `dropped`
-/// for the loop's report), narrated through rate-limited warn events, and
-/// dropped — the node-process hardening path. A garbage-frame flood moves
-/// counters, not stderr.
 /// Stash entries carry the sender: gathers are *source-aware*, so a
 /// fault-duplicated round vector from one peer can never be misattributed
 /// as another peer's contribution.
-#[allow(clippy::too_many_arguments)]
-fn recv_matching<F: FieldElement>(
-    ep: &Endpoint,
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
+struct Inbox<'a, F: FieldElement> {
+    ep: &'a Endpoint,
+    stash: VecDeque<Received<F>>,
     policy: FramePolicy,
-    known: &[NodeId],
-    metrics: &LoopMetrics,
-    dropped: &mut u64,
-    deadline: Option<Instant>,
-    want: impl Fn(NodeId, &ServerMsg<F>) -> bool,
-) -> RecvOutcome<F> {
-    if let Some(pos) = stash.iter().position(|(src, m, _)| want(*src, m)) {
-        if let Some((src, msg, ctx)) = stash.remove(pos) {
-            metrics.stash_depth.set(stash.len() as i64);
-            return RecvOutcome::Msg(src, msg, ctx);
-        }
-    }
-    loop {
-        let env = match deadline {
-            None => match ep.recv() {
-                Ok(env) => env,
-                Err(_) => return RecvOutcome::Closed,
-            },
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    return RecvOutcome::Deadline;
-                }
-                match ep.recv_timeout(deadline - now) {
-                    Ok(env) => env,
-                    Err(RecvTimeoutError::Timeout) => return RecvOutcome::Deadline,
-                    Err(RecvTimeoutError::Closed) => return RecvOutcome::Closed,
-                }
+    known: Vec<NodeId>,
+    metrics: &'a LoopMetrics,
+    dropped: u64,
+}
+
+impl<F: FieldElement> Inbox<'_, F> {
+    /// Receives the next message matching `want`, stashing any other valid
+    /// message for a later phase; an optional `deadline` bounds the wait.
+    ///
+    /// Under [`FramePolicy::Lenient`], frames from senders outside the
+    /// deployment and frames that fail to decode are counted in
+    /// `server_frames_dropped_total{reason=...}`, narrated through
+    /// rate-limited warn events, and dropped — the node-process hardening
+    /// path. A garbage-frame flood moves counters, not stderr.
+    fn recv(
+        &mut self,
+        deadline: Option<Instant>,
+        want: impl Fn(NodeId, &ServerMsg<F>) -> bool,
+    ) -> Result<Received<F>, Interrupt> {
+        if let Some(pos) = self.stash.iter().position(|(src, m, _)| want(*src, m)) {
+            if let Some(found) = self.stash.remove(pos) {
+                self.metrics.stash_depth.set(self.stash.len() as i64);
+                return Ok(found);
             }
-        };
-        if policy == FramePolicy::Lenient && !known.contains(&env.src) {
-            metrics.drop_unknown_sender.inc();
-            *dropped += 1;
-            metrics.events.warn(
-                TARGET,
-                "frame_dropped_unknown_sender",
-                format!(
-                    "dropping frame from unknown sender {:?} ({} bytes)",
-                    env.src,
-                    env.payload.len()
-                ),
-            );
-            continue;
         }
-        let (msg, ctx) = match from_traced_bytes::<ServerMsg<F>>(&env.payload) {
-            Ok(pair) => pair,
-            // An undecodable payload from a deployment member is a protocol
-            // violation, not noise: honest peers never produce one, and in
-            // an in-process deployment silently dropping it would turn a
-            // missing gather message into an undiagnosable hang — fail
-            // loudly there. A network-facing node drops it instead (the
-            // sender id is trivially forgeable, so even a "known" source
-            // may be a stranger) and keeps serving.
-            Err(e) => match policy {
-                // lint:allow(no-panic, Strict is the in-process mode where every sender is trusted protocol code; a bad frame is a local bug that must fail loudly)
-                FramePolicy::Strict => panic!("undecodable message from {:?}: {e}", env.src),
-                FramePolicy::Lenient => {
-                    metrics.drop_undecodable.inc();
-                    *dropped += 1;
-                    metrics.events.warn(
-                        TARGET,
+        let metrics = self.metrics;
+        loop {
+            let env = match deadline {
+                None => self.ep.recv().map_err(|_| Interrupt::Stop)?,
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Err(Interrupt::Deadline);
+                    }
+                    match self.ep.recv_timeout(deadline - now) {
+                        Ok(env) => env,
+                        Err(RecvTimeoutError::Timeout) => return Err(Interrupt::Deadline),
+                        Err(RecvTimeoutError::Closed) => return Err(Interrupt::Stop),
+                    }
+                }
+            };
+            if self.policy == FramePolicy::Lenient && !self.known.contains(&env.src) {
+                self.drop_frame(
+                    &metrics.drop_unknown_sender,
+                    "frame_dropped_unknown_sender",
+                    format!(
+                        "dropping frame from unknown sender {:?} ({} bytes)",
+                        env.src,
+                        env.payload.len()
+                    ),
+                );
+                continue;
+            }
+            let (msg, ctx) = match from_traced_bytes::<ServerMsg<F>>(&env.payload) {
+                Ok(pair) => pair,
+                // An undecodable payload from a deployment member is a
+                // protocol violation, not noise: honest peers never produce
+                // one. The sender id is trivially forgeable, so even a
+                // "known" source may be a stranger.
+                Err(e) => {
+                    self.drop_frame(
+                        &metrics.drop_undecodable,
                         "frame_dropped_undecodable",
-                        format!("rejecting undecodable frame from {:?}: {e}", env.src),
+                        format!("undecodable frame from {:?}: {e}", env.src),
                     );
                     continue;
                 }
-            },
-        };
-        if want(env.src, &msg) {
-            return RecvOutcome::Msg(env.src, msg, ctx);
+            };
+            if want(env.src, &msg) {
+                return Ok((env.src, msg, ctx));
+            }
+            if self.policy == FramePolicy::Lenient && self.stash.len() >= MAX_LENIENT_STASH {
+                self.drop_frame(
+                    &metrics.drop_stash_overflow,
+                    "frame_dropped_stash_overflow",
+                    format!(
+                        "stash full ({MAX_LENIENT_STASH}); dropping out-of-phase {} message",
+                        msg_kind(&msg)
+                    ),
+                );
+                continue;
+            }
+            self.stash.push_back((env.src, msg, ctx));
+            metrics.stash_depth.set(self.stash.len() as i64);
         }
-        if policy == FramePolicy::Lenient && stash.len() >= MAX_LENIENT_STASH {
-            metrics.drop_stash_overflow.inc();
-            *dropped += 1;
-            metrics.events.warn(
-                TARGET,
-                "frame_dropped_stash_overflow",
-                format!(
-                    "stash full ({MAX_LENIENT_STASH}); dropping out-of-phase {} message",
-                    msg_kind(&msg)
-                ),
-            );
-            continue;
+    }
+
+    /// Gathers one `len`-entry vector of `kind` for the batch in flight
+    /// from each sender in `from` (in arrival order), plus the earliest
+    /// sender span the frames carried — the gather-wait span's parent,
+    /// deterministic for a deterministic frame set.
+    ///
+    /// A vector of any other length is a protocol violation or a forgery:
+    /// it takes the same [`FramePolicy`] branch as an undecodable frame and
+    /// never stands in for its sender's contribution.
+    fn gather<T>(
+        &mut self,
+        from: &[NodeId],
+        at: &InFlight,
+        kind: &'static str,
+        len: usize,
+        entries: fn(ServerMsg<F>) -> Option<Vec<T>>,
+    ) -> Result<(Vec<Vec<T>>, Option<u64>), Interrupt> {
+        let mut pending = from.to_vec();
+        let mut vectors = Vec::with_capacity(from.len());
+        let mut parent: Option<u64> = None;
+        while !pending.is_empty() {
+            let (src, msg, tctx) = self.recv(at.deadline, |src, m| {
+                pending.contains(&src) && msg_kind(m) == kind && batch_of(m) == Some(at.ctx)
+            })?;
+            let Some(vector) = entries(msg) else { continue };
+            if vector.len() != len {
+                let metrics = self.metrics;
+                self.drop_frame(
+                    &metrics.drop_wrong_length,
+                    "frame_dropped_wrong_length",
+                    format!(
+                        "{kind} vector of length {} from {src:?}; the batch needs {len}",
+                        vector.len()
+                    ),
+                );
+                continue;
+            }
+            pending.retain(|&p| p != src);
+            if let Some(c) = tctx {
+                parent = Some(parent.map_or(c.parent, |p| p.min(c.parent)));
+            }
+            vectors.push(vector);
         }
-        stash.push_back((env.src, msg, ctx));
-        metrics.stash_depth.set(stash.len() as i64);
+        Ok((vectors, parent))
+    }
+
+    /// The [`FramePolicy`] branch for a frame the loop cannot use. Strict
+    /// panics: in an in-process deployment silently dropping it would turn
+    /// a missing gather message into an undiagnosable hang. Lenient counts
+    /// the drop in `counter` and the report, narrates it through a
+    /// rate-limited warn event, and keeps serving.
+    fn drop_frame(&mut self, counter: &prio_obs::Counter, event: &'static str, detail: String) {
+        match self.policy {
+            // lint:allow(no-panic, Strict is the in-process mode where every sender is trusted protocol code; a bad frame is a local bug that must fail loudly)
+            FramePolicy::Strict => panic!("{detail}"),
+            FramePolicy::Lenient => {
+                counter.inc();
+                self.dropped += 1;
+                self.metrics.events.warn(TARGET, event, detail);
+            }
+        }
+    }
+
+    /// Clears every mid-protocol round message left in the stash at a
+    /// batch boundary: stale vectors from a finished (or abandoned) batch
+    /// must not be mistaken for the next batch's traffic. The boundary is
+    /// sufficient, because the driver paces batches on the previous
+    /// batch's decisions (or its deadline), after which any straggling or
+    /// fault-duplicated round frame is by definition stale.
+    fn clear_round_stash(&mut self) {
+        self.stash.retain(|(_, m, _)| batch_of(m).is_none());
+        self.metrics.stash_depth.set(self.stash.len() as i64);
     }
 }
 
-/// Clears every mid-protocol round message left in the stash at a batch
-/// boundary: stale vectors from a finished (or abandoned) batch must not
-/// be mistaken for the next batch's traffic. Round messages carry no
-/// batch identity, so the boundary is the only safe discard point — and
-/// it is sufficient, because the driver paces batches on the previous
-/// batch's decisions (or its deadline), after which any straggling or
-/// fault-duplicated round frame is by definition stale.
-fn clear_round_stash<F: FieldElement>(
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
-    metrics: &LoopMetrics,
-) {
-    stash.retain(|(_, m, _)| {
-        !matches!(
-            m,
-            ServerMsg::Round1 { .. }
-                | ServerMsg::Round1Combined { .. }
-                | ServerMsg::Round2 { .. }
-                | ServerMsg::Decisions { .. }
-        )
-    });
-    metrics.stash_depth.set(stash.len() as i64);
-}
-
-/// [`clear_round_stash`] plus the abandonment accounting, for a batch a
-/// gather deadline killed.
-fn abandon_batch<F: FieldElement>(
-    stash: &mut VecDeque<(NodeId, ServerMsg<F>, Option<TraceCtx>)>,
-    metrics: &LoopMetrics,
-    report: &mut ServerLoopReport,
-) {
-    clear_round_stash(stash, metrics);
-    metrics.batches_abandoned.inc();
-    report.batches_abandoned += 1;
-    metrics.events.warn(
-        TARGET,
-        "batch_abandoned",
-        "mid-batch gather deadline expired; abandoning the batch without accumulating".to_string(),
-    );
-}
-
-/// Short tag for log lines (avoids dumping whole field vectors to stderr).
+/// Short tag for log lines and gathers (avoids dumping whole field vectors
+/// to stderr).
 fn msg_kind<F: FieldElement>(msg: &ServerMsg<F>) -> &'static str {
     match msg {
-        ServerMsg::BatchStart { .. } => "BatchStart",
         ServerMsg::Round1 { .. } => "Round1",
         ServerMsg::Round1Combined { .. } => "Round1Combined",
         ServerMsg::Round2 { .. } => "Round2",
@@ -389,98 +422,49 @@ fn msg_kind<F: FieldElement>(msg: &ServerMsg<F>) -> &'static str {
     }
 }
 
-/// Runs batched round 2 over the submissions that survived round 1,
-/// scattering the results back into submission order. Locally failed
-/// submissions get a poisoned share (`σ = out = 1`) so the global decision
-/// is guaranteed to reject them even if other servers verified fine.
-fn batched_round2<F: FieldElement, A: Afe<F>>(
-    server: &Server<F, A>,
-    states: &[Option<prio_snip::ServerState<F>>],
-    combined: &[Round1Msg<F>],
-) -> Vec<prio_snip::Round2Msg<F>> {
-    // Walk states and combined together: a combined vector shorter than the
-    // batch (possible on a forged leader message) simply poisons the tail
-    // instead of panicking.
-    let mut ok_idx: Vec<usize> = Vec::new();
-    let mut sts: Vec<prio_snip::ServerState<F>> = Vec::new();
-    let mut combs: Vec<Round1Msg<F>> = Vec::new();
-    for (j, st) in states.iter().enumerate() {
-        if let (Some(st), Some(comb)) = (st, combined.get(j)) {
-            ok_idx.push(j);
-            sts.push(st.clone());
-            combs.push(*comb);
-        }
+/// The batch a mid-protocol round message belongs to; `None` for every
+/// other kind.
+fn batch_of<F: FieldElement>(msg: &ServerMsg<F>) -> Option<u64> {
+    match msg {
+        ServerMsg::Round1 { ctx, .. }
+        | ServerMsg::Round1Combined { ctx, .. }
+        | ServerMsg::Round2 { ctx, .. }
+        | ServerMsg::Decisions { ctx, .. } => Some(*ctx),
+        _ => None,
     }
-    let compact = server.round2_batch(&sts, &combs);
-    let mut out = vec![
-        prio_snip::Round2Msg {
-            sigma: F::one(),
-            out: F::one(),
-        };
-        states.len()
-    ];
-    for (k, &j) in ok_idx.iter().enumerate() {
-        out[j] = compact[k];
-    }
-    out
 }
 
-/// The server event loop: drains `ClientBatch`es through the two SNIP
-/// broadcast rounds (leader-star topology), accumulates accepted
-/// submissions, answers the publish request, and exits on shutdown.
-///
-/// `ids` is the full server set in index order (`ids[0]` is the leader and
-/// must contain `ep.id()`); `driver` is the node the leader reports
-/// decisions to and every server publishes to.
-pub fn run_server_loop<F: FieldElement, A: Afe<F> + Sync>(
-    server: &mut Server<F, A>,
-    ep: &Endpoint,
-    ids: &[NodeId],
+/// One run of the loop: the server and its place in the deployment, the
+/// options, and what the report accumulates.
+struct Node<'a, F: FieldElement, A: Afe<F>> {
+    server: &'a mut Server<F, A>,
+    ids: &'a [NodeId],
     driver: NodeId,
-    opts: ServerLoopOptions,
-) -> ServerLoopReport {
-    let metrics = LoopMetrics::resolve(&opts.obs);
-    let mut report = ServerLoopReport::default();
-    let Some(my_index) = ids.iter().position(|&id| id == ep.id()) else {
-        metrics.events.error(
-            TARGET,
-            "own_id_missing",
-            "own endpoint id not in the deployment's server set".to_string(),
-        );
-        return report;
-    };
-    let leader_id = ids[0];
-    let is_leader = my_index == 0;
-    let mut stash = VecDeque::new();
-    let mut known: Vec<NodeId> = ids.to_vec();
-    known.push(driver);
-    let policy = opts.frame_policy;
-    // Idempotent ingest: remember recent batch context seeds so a
-    // duplicated ClientBatch frame (fault injection, driver retransmit, a
-    // lower layer replaying) is discarded instead of double-counted. The
-    // seed is the batch's identity — the driver derives one fresh seed per
-    // batch, so equal seed ⇔ same batch.
-    let mut seen_batches: HashSet<u64> = HashSet::new();
-    let mut seen_order: VecDeque<u64> = VecDeque::new();
-    let retry = &opts.retry;
-    // Trace plumbing: `rec` is None on untraced runs, in which case every
-    // outgoing frame is byte-identical to the pre-tracing encoding.
-    let rec = opts.trace.as_deref();
-    let node = my_index as u64;
+    /// This server's index; `0` is the leader.
+    index: usize,
+    opts: &'a ServerLoopOptions,
+    metrics: &'a LoopMetrics,
+    inbox: Inbox<'a, F>,
+    clock: PhaseClock,
+    /// Idempotent ingest: the most recent batch context seeds, so a
+    /// duplicated `ClientBatch` frame (fault injection, driver
+    /// retransmit, a lower layer replaying) is discarded instead of
+    /// double-counted. The driver derives one fresh seed per batch, so
+    /// equal seed ⇔ same batch.
+    seen: HashSet<u64>,
+    seen_order: VecDeque<u64>,
+    report: ServerLoopReport,
+}
 
-    loop {
-        let (msg, batch_ctx) = match recv_matching(
-            ep,
-            &mut stash,
-            policy,
-            &known,
-            &metrics,
-            &mut report.frames_dropped,
-            opts.idle_deadline.map(|d| Instant::now() + d),
+impl<F: FieldElement, A: Afe<F>> Node<'_, F, A> {
+    fn serve(&mut self) {
+        loop {
+            let driver = self.driver;
+            let idle = self.opts.idle_deadline.map(|d| Instant::now() + d);
             // Phase-entry messages are the driver's alone: a server id (or
             // a forged one) carrying a ClientBatch/PublishRequest/Shutdown
             // must not steer the loop.
-            |src, m| {
+            let Ok((_, msg, batch_ctx)) = self.inbox.recv(idle, |src, m| {
                 src == driver
                     && matches!(
                         m,
@@ -488,489 +472,356 @@ pub fn run_server_loop<F: FieldElement, A: Afe<F> + Sync>(
                             | ServerMsg::PublishRequest
                             | ServerMsg::Shutdown
                     )
-            },
-        ) {
-            RecvOutcome::Msg(_, msg, ctx) => (msg, ctx),
-            RecvOutcome::Closed | RecvOutcome::Deadline => return report,
-        };
-        match msg {
-            ServerMsg::ClientBatch {
-                ctx_seed,
-                labels,
-                blobs,
-            } => {
-                if seen_batches.contains(&ctx_seed) {
-                    metrics.deduped.inc();
-                    report.frames_deduped += 1;
-                    metrics.events.warn(
+            }) else {
+                return;
+            };
+            match msg {
+                ServerMsg::ClientBatch {
+                    ctx_seed,
+                    labels,
+                    blobs,
+                } => {
+                    if !self.first_sight(ctx_seed) {
+                        continue;
+                    }
+                    // The driver's frame carries its batch-root span id.
+                    let root = batch_ctx.map_or(0, |c| c.parent);
+                    match self.verify_batch(ctx_seed, &labels, &blobs, root) {
+                        Ok(()) => {}
+                        Err(Interrupt::Deadline) => self.abandon_batch(),
+                        Err(Interrupt::Stop) => return,
+                    }
+                }
+                ServerMsg::PublishRequest => {
+                    if self.publish().is_err() {
+                        return;
+                    }
+                }
+                ServerMsg::Shutdown => {
+                    self.report.clean = true;
+                    return;
+                }
+                // recv only returns the three phase-entry messages matched
+                // above; anything else here means the match filter and this
+                // arm drifted apart. Drop the message and keep serving.
+                other => {
+                    self.metrics.drop_unexpected_kind.inc();
+                    self.inbox.dropped += 1;
+                    self.metrics.events.warn(
                         TARGET,
-                        "client_batch_deduped",
-                        format!("duplicate ClientBatch (ctx_seed {ctx_seed}); already processed"),
+                        "frame_dropped_unexpected_kind",
+                        format!(
+                            "unexpected {} message at server {}; dropping",
+                            msg_kind(&other),
+                            self.index
+                        ),
                     );
-                    continue;
                 }
-                if seen_batches.insert(ctx_seed) {
-                    seen_order.push_back(ctx_seed);
-                    if seen_order.len() > MAX_SEEN_BATCHES {
-                        if let Some(evicted) = seen_order.pop_front() {
-                            seen_batches.remove(&evicted);
-                        }
-                    }
-                }
-                let deadline = opts.batch_deadline.map(|d| Instant::now() + d);
-                let ctx = match server.make_context(ctx_seed) {
-                    Ok(ctx) => ctx,
-                    Err(e) => {
-                        metrics.events.error(
-                            TARGET,
-                            "context_derivation_failed",
-                            format!("cannot derive verification context: {e:?}"),
-                        );
-                        return report;
-                    }
-                };
-                let count = blobs.len();
-                report.timings.submissions += count as u64;
-                metrics.batch_size.observe(count as u64);
-                // Span parentage: the driver's ClientBatch frame carries
-                // its batch-root span id; our unpack chains off it, and
-                // each later phase chains off the previous one. `tctx`
-                // stamps outgoing frames only when tracing is on.
-                let batch_parent = batch_ctx.map(|c| c.parent).unwrap_or(0);
-                let tctx = |parent: u64| rec.map(|_| TraceCtx { trace: ctx_seed, parent });
-                // Unpack every submission; parse/unpack failures — and a
-                // labels vector shorter than the blobs vector, possible on
-                // a forged batch — are flagged locally and voted "reject".
-                let span = Span::start(&metrics.phase_unpack);
-                let t_unpack = rec.map_or(0, |r| r.now_us());
-                let mut unpacked: Vec<Option<(Vec<F>, prio_snip::SnipProofShare<F>)>> =
-                    Vec::with_capacity(count);
-                let mut local_ok = vec![true; count];
-                for (j, blob_bytes) in blobs.iter().enumerate() {
-                    let parsed = labels.get(j).and_then(|&label| {
-                        blob_from_bytes::<F>(blob_bytes)
-                            .ok()
-                            .and_then(|blob| server.unpack(&blob, label).ok())
-                    });
-                    if parsed.is_none() {
-                        local_ok[j] = false;
-                    }
-                    unpacked.push(parsed);
-                }
-                report.timings.unpack += span.finish();
-                let unpack_span = rec.map_or(0, |r| {
-                    r.record_span(ctx_seed, batch_parent, node, SpanKind::Unpack, "", t_unpack, r.now_us())
-                });
-
-                // Batched round 1 across the verify pool: one shared
-                // context, per-worker scratch, results merged in
-                // submission order.
-                let span = Span::start(&metrics.phase_round1);
-                let t_round1 = rec.map_or(0, |r| r.now_us());
-                let mut ok_idx: Vec<usize> = Vec::new();
-                let mut items: Vec<(&[F], &prio_snip::SnipProofShare<F>)> = Vec::new();
-                for (j, parsed) in unpacked.iter().enumerate() {
-                    if let Some((x, proof)) = parsed {
-                        ok_idx.push(j);
-                        items.push((x.as_slice(), proof));
-                    }
-                }
-                let results = server.round1_batch(&ctx, &items, opts.verify_threads);
-
-                let mut xs: Vec<Vec<F>> = vec![Vec::new(); count];
-                let mut states: Vec<Option<prio_snip::ServerState<F>>> = vec![None; count];
-                let mut round1 = vec![
-                    Round1Msg {
-                        d: F::zero(),
-                        e: F::zero(),
-                    };
-                    count
-                ];
-                for (k, result) in results.into_iter().enumerate() {
-                    let j = ok_idx[k];
-                    match result {
-                        Ok((st, msg)) => {
-                            states[j] = Some(st);
-                            round1[j] = msg;
-                        }
-                        Err(_) => local_ok[j] = false,
-                    }
-                }
-                for (j, parsed) in unpacked.into_iter().enumerate() {
-                    if let Some((x, _)) = parsed {
-                        xs[j] = x;
-                    }
-                }
-                report.timings.round1 += span.finish();
-                let round1_span = rec.map_or(0, |r| {
-                    r.record_span(ctx_seed, unpack_span, node, SpanKind::Round1, "", t_round1, r.now_us())
-                });
-
-                // A deadline expiry anywhere in the gathers breaks out
-                // with `None`: the batch is abandoned (never accumulated)
-                // and the loop keeps serving. Every server abandons
-                // symmetrically — the leader never sent `Decisions`, so
-                // non-leaders time out too — which is what keeps the
-                // accepted-subset aggregates bit-identical across servers.
-                let decisions: Option<Vec<bool>> = 'gather: {
-                    Some(if is_leader {
-                    // Gather round-1 vectors from the others — one per
-                    // *distinct* peer, so a fault-duplicated vector waits
-                    // in the stash (cleared at the batch boundary) instead
-                    // of impersonating a missing peer's contribution.
-                    let mut all_r1 = vec![round1.clone()];
-                    let mut pending_r1: HashSet<NodeId> = ids[1..].iter().copied().collect();
-                    // A gather-wait span's parent is the *earliest* sender
-                    // span among the frames that fed it (min over received
-                    // ctx parents — deterministic for a deterministic frame
-                    // set); with no traced frame it chains off our own
-                    // round-1 span.
-                    let t_gather1 = rec.map_or(0, |r| r.now_us());
-                    let mut gather1_parent: Option<u64> = None;
-                    while !pending_r1.is_empty() {
-                        let (src, v, fctx) = match recv_matching(
-                            ep,
-                            &mut stash,
-                            policy,
-                            &known,
-                            &metrics,
-                            &mut report.frames_dropped,
-                            deadline,
-                            |src, m| {
-                                pending_r1.contains(&src)
-                                    && matches!(m, ServerMsg::Round1 { ctx, .. } if *ctx == ctx_seed)
-                            },
-                        ) {
-                            RecvOutcome::Msg(src, ServerMsg::Round1 { msgs: v, .. }, fctx) => {
-                                (src, v, fctx)
-                            }
-                            RecvOutcome::Deadline => break 'gather None,
-                            _ => return report,
-                        };
-                        pending_r1.remove(&src);
-                        if let Some(c) = fctx {
-                            gather1_parent =
-                                Some(gather1_parent.map_or(c.parent, |g| g.min(c.parent)));
-                        }
-                        // A round-1 vector of the wrong length is a protocol
-                        // violation (or a forgery); abandon the run rather
-                        // than index out of bounds below.
-                        if v.len() != count {
-                            metrics.events.error(
-                                TARGET,
-                                "round1_length_mismatch",
-                                format!(
-                                    "round-1 vector of length {} for a batch of {count}",
-                                    v.len()
-                                ),
-                            );
-                            return report;
-                        }
-                        all_r1.push(v);
-                    }
-                    let gather1_span = rec.map_or(0, |r| {
-                        r.record_span(
-                            ctx_seed,
-                            gather1_parent.unwrap_or(round1_span),
-                            node,
-                            SpanKind::GatherWait,
-                            "round1",
-                            t_gather1,
-                            r.now_us(),
-                        )
-                    });
-                    // Combine per submission and redistribute.
-                    let combined: Vec<Round1Msg<F>> = (0..count)
-                        .map(|j| Round1Msg {
-                            d: all_r1.iter().map(|v| v[j].d).sum(),
-                            e: all_r1.iter().map(|v| v[j].e).sum(),
-                        })
-                        .collect();
-                    let comb_msg = to_traced_bytes(
-                        &ServerMsg::Round1Combined {
-                            ctx: ctx_seed,
-                            msgs: combined.clone(),
-                        },
-                        tctx(gather1_span),
-                    );
-                    for &sid in &ids[1..] {
-                        if retry
-                            .run("round1_combined_send", || ep.send(sid, comb_msg.clone()))
-                            .is_err()
-                        {
-                            return report;
-                        }
-                    }
-                    // Own round 2 (batched) plus gathered round 2s.
-                    let span = Span::start(&metrics.phase_round2);
-                    let t_round2 = rec.map_or(0, |r| r.now_us());
-                    let own_r2 = batched_round2(server, &states, &combined);
-                    report.timings.round2 += span.finish();
-                    let round2_span = rec.map_or(0, |r| {
-                        r.record_span(ctx_seed, round1_span, node, SpanKind::Round2, "", t_round2, r.now_us())
-                    });
-                    let mut all_r2 = vec![own_r2];
-                    let mut pending_r2: HashSet<NodeId> = ids[1..].iter().copied().collect();
-                    let t_gather2 = rec.map_or(0, |r| r.now_us());
-                    let mut gather2_parent: Option<u64> = None;
-                    while !pending_r2.is_empty() {
-                        let (src, v, fctx) = match recv_matching(
-                            ep,
-                            &mut stash,
-                            policy,
-                            &known,
-                            &metrics,
-                            &mut report.frames_dropped,
-                            deadline,
-                            |src, m| {
-                                pending_r2.contains(&src)
-                                    && matches!(m, ServerMsg::Round2 { ctx, .. } if *ctx == ctx_seed)
-                            },
-                        ) {
-                            RecvOutcome::Msg(src, ServerMsg::Round2 { msgs: v, .. }, fctx) => {
-                                (src, v, fctx)
-                            }
-                            RecvOutcome::Deadline => break 'gather None,
-                            _ => return report,
-                        };
-                        pending_r2.remove(&src);
-                        if let Some(c) = fctx {
-                            gather2_parent =
-                                Some(gather2_parent.map_or(c.parent, |g| g.min(c.parent)));
-                        }
-                        if v.len() != count {
-                            metrics.events.error(
-                                TARGET,
-                                "round2_length_mismatch",
-                                format!(
-                                    "round-2 vector of length {} for a batch of {count}",
-                                    v.len()
-                                ),
-                            );
-                            return report;
-                        }
-                        all_r2.push(v);
-                    }
-                    let gather2_span = rec.map_or(0, |r| {
-                        r.record_span(
-                            ctx_seed,
-                            gather2_parent.unwrap_or(round2_span),
-                            node,
-                            SpanKind::GatherWait,
-                            "round2",
-                            t_gather2,
-                            r.now_us(),
-                        )
-                    });
-                    let decisions: Vec<bool> = (0..count)
-                        .map(|j| {
-                            let msgs: Vec<_> = all_r2.iter().map(|v| v[j]).collect();
-                            decide(&msgs)
-                        })
-                        .collect();
-                    let dec_msg = to_traced_bytes(
-                        &ServerMsg::<F>::Decisions {
-                            ctx: ctx_seed,
-                            bits: pack_decisions(&decisions),
-                        },
-                        tctx(gather2_span),
-                    );
-                    for &sid in &ids[1..] {
-                        if retry
-                            .run("decisions_send", || ep.send(sid, dec_msg.clone()))
-                            .is_err()
-                        {
-                            return report;
-                        }
-                    }
-                    if retry
-                        .run("decisions_send", || ep.send(driver, dec_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    decisions
-                } else {
-                    let r1_msg = to_traced_bytes(
-                        &ServerMsg::Round1 {
-                            ctx: ctx_seed,
-                            msgs: round1,
-                        },
-                        tctx(round1_span),
-                    );
-                    if retry
-                        .run("round1_send", || ep.send(leader_id, r1_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    // Non-leader gather-waits chain off the leader's sender
-                    // span carried on the frame; a traceless frame falls
-                    // back to our own preceding span so the tree stays
-                    // connected.
-                    let t_wait1 = rec.map_or(0, |r| r.now_us());
-                    let (combined, comb_ctx) = match recv_matching(
-                        ep,
-                        &mut stash,
-                        policy,
-                        &known,
-                        &metrics,
-                        &mut report.frames_dropped,
-                        deadline,
-                        // Only the leader's word counts for the combined
-                        // vector (and for decisions below), and only for
-                        // *this* batch.
-                        |src, m| {
-                            src == leader_id
-                                && matches!(m, ServerMsg::Round1Combined { ctx, .. } if *ctx == ctx_seed)
-                        },
-                    ) {
-                        RecvOutcome::Msg(_, ServerMsg::Round1Combined { msgs: combined, .. }, fctx) => {
-                            (combined, fctx)
-                        }
-                        RecvOutcome::Deadline => break 'gather None,
-                        _ => return report,
-                    };
-                    let _ = rec.map(|r| {
-                        r.record_span(
-                            ctx_seed,
-                            comb_ctx.map_or(round1_span, |c| c.parent),
-                            node,
-                            SpanKind::GatherWait,
-                            "round1combined",
-                            t_wait1,
-                            r.now_us(),
-                        )
-                    });
-                    if combined.len() != count {
-                        metrics.events.error(
-                            TARGET,
-                            "round1_combined_length_mismatch",
-                            format!(
-                                "combined round-1 vector of length {} for a batch of {count}",
-                                combined.len()
-                            ),
-                        );
-                        return report;
-                    }
-                    let span = Span::start(&metrics.phase_round2);
-                    let t_round2 = rec.map_or(0, |r| r.now_us());
-                    let r2 = batched_round2(server, &states, &combined);
-                    report.timings.round2 += span.finish();
-                    let round2_span = rec.map_or(0, |r| {
-                        r.record_span(ctx_seed, round1_span, node, SpanKind::Round2, "", t_round2, r.now_us())
-                    });
-                    let r2_msg = to_traced_bytes(
-                        &ServerMsg::Round2 {
-                            ctx: ctx_seed,
-                            msgs: r2,
-                        },
-                        tctx(round2_span),
-                    );
-                    if retry
-                        .run("round2_send", || ep.send(leader_id, r2_msg.clone()))
-                        .is_err()
-                    {
-                        return report;
-                    }
-                    let t_wait2 = rec.map_or(0, |r| r.now_us());
-                    let (bits, dec_ctx) = match recv_matching(
-                        ep,
-                        &mut stash,
-                        policy,
-                        &known,
-                        &metrics,
-                        &mut report.frames_dropped,
-                        deadline,
-                        |src, m| {
-                            src == leader_id
-                                && matches!(m, ServerMsg::Decisions { ctx, .. } if *ctx == ctx_seed)
-                        },
-                    ) {
-                        RecvOutcome::Msg(_, ServerMsg::Decisions { bits, .. }, fctx) => (bits, fctx),
-                        RecvOutcome::Deadline => break 'gather None,
-                        _ => return report,
-                    };
-                    let _ = rec.map(|r| {
-                        r.record_span(
-                            ctx_seed,
-                            dec_ctx.map_or(round2_span, |c| c.parent),
-                            node,
-                            SpanKind::GatherWait,
-                            "decisions",
-                            t_wait2,
-                            r.now_us(),
-                        )
-                    });
-                    unpack_decisions(&bits, count)
-                    })
-                };
-                let Some(decisions) = decisions else {
-                    abandon_batch(&mut stash, &metrics, &mut report);
-                    continue;
-                };
-                // The batch is decided: any round message still stashed
-                // (a fault-duplicated vector from a peer already counted)
-                // belongs to it and must not leak into the next gather.
-                clear_round_stash(&mut stash, &metrics);
-
-                for (j, &ok) in decisions.iter().enumerate() {
-                    if ok && local_ok[j] {
-                        server.accumulate(&xs[j]);
-                        metrics.accepted.inc();
-                    } else {
-                        server.reject();
-                        // A submission this server could not even parse is
-                        // "malformed"; one that parsed but failed the SNIP
-                        // vote is "verify".
-                        if local_ok[j] {
-                            metrics.rejected_verify.inc();
-                        } else {
-                            metrics.rejected_malformed.inc();
-                        }
-                    }
-                }
-            }
-            ServerMsg::PublishRequest => {
-                // Everything sent so far is verification-phase traffic; the
-                // accumulator reveal below is the publish phase. Sampling
-                // here gives every deployment flavour the same Figure-6
-                // split without a shared-fabric snapshot.
-                report.verify_bytes_sent = ep.bytes_sent();
-                let span = Span::start(&metrics.phase_publish);
-                let t_publish = rec.map_or(0, |r| r.now_us());
-                let acc = server.accumulator().to_vec();
-                let acc_msg = ServerMsg::Accumulator(acc).to_wire_bytes();
-                let sent = retry.run("publish_send", || ep.send(driver, acc_msg.clone()));
-                report.timings.publish += span.finish();
-                // Publish is not tied to any one batch; trace 0 groups the
-                // reveal phase per node without inventing a batch id.
-                let _ = rec.map(|r| {
-                    r.record_span(0, 0, node, SpanKind::Publish, "", t_publish, r.now_us())
-                });
-                if sent.is_err() {
-                    return report;
-                }
-            }
-            ServerMsg::Shutdown => {
-                report.clean = true;
-                return report;
-            }
-            // recv_matching only returns the three phase-entry messages
-            // matched above; anything else here means the match filter and
-            // this arm drifted apart. Drop the message and keep serving.
-            other => {
-                metrics.drop_unexpected_kind.inc();
-                report.frames_dropped += 1;
-                metrics.events.warn(
-                    TARGET,
-                    "frame_dropped_unexpected_kind",
-                    format!(
-                        "unexpected {} message at server {my_index}; dropping",
-                        msg_kind(&other)
-                    ),
-                );
             }
         }
+    }
+
+    /// Whether `ctx_seed` names a batch this loop has not ingested yet;
+    /// records it if so.
+    fn first_sight(&mut self, ctx_seed: u64) -> bool {
+        if !self.seen.insert(ctx_seed) {
+            self.metrics.deduped.inc();
+            self.report.frames_deduped += 1;
+            self.metrics.events.warn(
+                TARGET,
+                "client_batch_deduped",
+                format!("duplicate ClientBatch (ctx_seed {ctx_seed}); already processed"),
+            );
+            return false;
+        }
+        self.seen_order.push_back(ctx_seed);
+        if self.seen_order.len() > MAX_SEEN_BATCHES {
+            if let Some(evicted) = self.seen_order.pop_front() {
+                self.seen.remove(&evicted);
+            }
+        }
+        true
+    }
+
+    /// Runs one batch through the verification core. A deadline expiry in
+    /// any gather returns [`Interrupt::Deadline`] before anything is
+    /// accumulated; every server abandons symmetrically (the leader never
+    /// sent `Decisions`, so non-leaders time out too), which keeps the
+    /// accepted-subset aggregates bit-identical across servers.
+    fn verify_batch(
+        &mut self,
+        ctx_seed: u64,
+        labels: &[u64],
+        blobs: &[Vec<u8>],
+        root: u64,
+    ) -> Result<(), Interrupt> {
+        let deadline = self.opts.batch_deadline.map(|d| Instant::now() + d);
+        let ctx = self.server.make_context(ctx_seed).map_err(|e| {
+            self.metrics.events.error(
+                TARGET,
+                "context_derivation_failed",
+                format!("cannot derive verification context: {e:?}"),
+            );
+            Interrupt::Stop
+        })?;
+        let count = blobs.len();
+        self.clock.timings.submissions += count as u64;
+        self.metrics.batch_size.observe(count as u64);
+
+        // A blob that fails to parse — or has no label, possible on a
+        // forged batch — fails locally and is voted "reject".
+        let parsed = blobs.iter().enumerate().map(|(j, bytes)| {
+            let label = *labels.get(j)?;
+            Some((blob_from_bytes::<F>(bytes).ok()?, label))
+        });
+        let t = self.now();
+        let shares = verify::unpack(self.server, parsed, &mut self.clock);
+        let unpack_span = self.span(ctx_seed, root, SpanKind::Unpack, "", t);
+        let t = self.now();
+        let threads = self.opts.verify_threads;
+        let (batch, round1) = verify::round1(self.server, &ctx, shares, threads, &mut self.clock);
+        let round1_span = self.span(ctx_seed, unpack_span, SpanKind::Round1, "", t);
+
+        let at = InFlight {
+            ctx: ctx_seed,
+            count,
+            deadline,
+        };
+        let decisions = if self.index == 0 {
+            self.lead(&batch, round1, &at, round1_span)?
+        } else {
+            self.follow(&batch, round1, &at, round1_span)?
+        };
+        // The batch is decided: any round message still stashed (a
+        // fault-duplicated vector from a peer already counted) belongs to
+        // it and must not leak into the next gather.
+        self.inbox.clear_round_stash();
+        let tally = verify::finish(self.server, batch, &decisions);
+        self.metrics.accepted.add(tally.accepted);
+        self.metrics.rejected_verify.add(tally.rejected_verify);
+        self.metrics.rejected_malformed.add(tally.rejected_malformed);
+        Ok(())
+    }
+
+    /// The leader's side of a batch: gather round 1, combine and
+    /// redistribute, gather round 2, decide, and announce the decisions.
+    /// Gathers take one vector per *distinct* peer, so a fault-duplicated
+    /// vector waits in the stash instead of impersonating a missing peer.
+    fn lead(
+        &mut self,
+        batch: &Batch<F>,
+        round1: Vec<Round1Msg<F>>,
+        at: &InFlight,
+        round1_span: u64,
+    ) -> Result<Vec<bool>, Interrupt> {
+        let ids = self.ids;
+        let peers = &ids[1..];
+        let t = self.now();
+        let (gathered, parent) = self.inbox.gather(peers, at, "Round1", at.count, |m| match m {
+            ServerMsg::Round1 { msgs, .. } => Some(msgs),
+            _ => None,
+        })?;
+        // A gather-wait span chains off the earliest sender span that fed
+        // it, or off our own preceding span when no frame was traced.
+        let gather1_span =
+            self.span(at.ctx, parent.unwrap_or(round1_span), SpanKind::GatherWait, "round1", t);
+        let mut vectors = vec![round1];
+        vectors.extend(gathered);
+        let combined = verify::combine(at.count, &vectors);
+        let msg = ServerMsg::Round1Combined {
+            ctx: at.ctx,
+            msgs: combined.clone(),
+        };
+        self.send("round1_combined_send", peers, &msg, self.tctx(at.ctx, gather1_span))?;
+
+        let t = self.now();
+        let own = verify::round2(self.server, batch, &combined, &mut self.clock);
+        let round2_span = self.span(at.ctx, round1_span, SpanKind::Round2, "", t);
+        let t = self.now();
+        let (gathered, parent) = self.inbox.gather(peers, at, "Round2", at.count, |m| match m {
+            ServerMsg::Round2 { msgs, .. } => Some(msgs),
+            _ => None,
+        })?;
+        let gather2_span =
+            self.span(at.ctx, parent.unwrap_or(round2_span), SpanKind::GatherWait, "round2", t);
+        let mut vectors = vec![own];
+        vectors.extend(gathered);
+        let decisions = verify::decide(at.count, &vectors);
+        let msg = ServerMsg::Decisions {
+            ctx: at.ctx,
+            bits: pack_decisions(&decisions),
+        };
+        let to: Vec<NodeId> = peers.iter().copied().chain([self.driver]).collect();
+        self.send("decisions_send", &to, &msg, self.tctx(at.ctx, gather2_span))?;
+        Ok(decisions)
+    }
+
+    /// A non-leader's side of a batch: send round 1, take the leader's
+    /// combined vector, send round 2, take the leader's decisions. Only
+    /// the leader's word counts for either, and only for this batch.
+    fn follow(
+        &mut self,
+        batch: &Batch<F>,
+        round1: Vec<Round1Msg<F>>,
+        at: &InFlight,
+        round1_span: u64,
+    ) -> Result<Vec<bool>, Interrupt> {
+        let leader = [self.ids[0]];
+        let msg = ServerMsg::Round1 {
+            ctx: at.ctx,
+            msgs: round1,
+        };
+        self.send("round1_send", &leader, &msg, self.tctx(at.ctx, round1_span))?;
+        // Gather-waits chain off the leader's sender span carried on the
+        // frame, or off our own preceding span for a traceless frame.
+        let t = self.now();
+        let (mut combined, parent) =
+            self.inbox.gather(&leader, at, "Round1Combined", at.count, |m| match m {
+                ServerMsg::Round1Combined { msgs, .. } => Some(msgs),
+                _ => None,
+            })?;
+        let parent = parent.unwrap_or(round1_span);
+        self.span(at.ctx, parent, SpanKind::GatherWait, "round1combined", t);
+        let combined = combined.pop().unwrap_or_default();
+
+        let t = self.now();
+        let round2 = verify::round2(self.server, batch, &combined, &mut self.clock);
+        let round2_span = self.span(at.ctx, round1_span, SpanKind::Round2, "", t);
+        let msg = ServerMsg::Round2 {
+            ctx: at.ctx,
+            msgs: round2,
+        };
+        self.send("round2_send", &leader, &msg, self.tctx(at.ctx, round2_span))?;
+        let t = self.now();
+        let (mut bits, parent) =
+            self.inbox.gather(&leader, at, "Decisions", at.count.div_ceil(8), |m| match m {
+                ServerMsg::Decisions { bits, .. } => Some(bits),
+                _ => None,
+            })?;
+        self.span(at.ctx, parent.unwrap_or(round2_span), SpanKind::GatherWait, "decisions", t);
+        Ok(unpack_decisions(&bits.pop().unwrap_or_default(), at.count))
+    }
+
+    /// Answers the publish request with this server's accumulator.
+    fn publish(&mut self) -> Result<(), Interrupt> {
+        // Everything sent so far is verification-phase traffic; the
+        // accumulator reveal below is the publish phase. Sampling here
+        // gives every deployment flavour the same Figure-6 split without a
+        // shared-fabric snapshot.
+        self.report.verify_bytes_sent = self.inbox.ep.bytes_sent();
+        let span = Span::start(&self.clock.publish);
+        let t = self.now();
+        let msg = ServerMsg::Accumulator(self.server.accumulator().to_vec());
+        let sent = self.send("publish_send", &[self.driver], &msg, None);
+        self.clock.timings.publish += span.finish();
+        // Publish is not tied to any one batch; trace 0 groups the reveal
+        // phase per node without inventing a batch id.
+        self.span(0, 0, SpanKind::Publish, "", t);
+        sent
+    }
+
+    /// Discards a batch a gather deadline killed: nothing was accumulated,
+    /// and its round messages must not leak into the next batch.
+    fn abandon_batch(&mut self) {
+        self.inbox.clear_round_stash();
+        self.metrics.batches_abandoned.inc();
+        self.report.batches_abandoned += 1;
+        self.metrics.events.warn(
+            TARGET,
+            "batch_abandoned",
+            "mid-batch gather deadline expired; abandoning the batch without accumulating".to_string(),
+        );
+    }
+
+    /// Sends `msg` to every node in `to`, retrying per the loop's policy;
+    /// a send that still fails stops the loop.
+    fn send(
+        &self,
+        op: &'static str,
+        to: &[NodeId],
+        msg: &ServerMsg<F>,
+        tctx: Option<TraceCtx>,
+    ) -> Result<(), Interrupt> {
+        let bytes = to_traced_bytes(msg, tctx);
+        for &dst in to {
+            self.opts
+                .retry
+                .run(op, || self.inbox.ep.send(dst, bytes.clone()))
+                .map_err(|_| Interrupt::Stop)?;
+        }
+        Ok(())
+    }
+
+    /// The trace context stamped on an outgoing frame: `None` when tracing
+    /// is off, which keeps every frame byte-identical to the untraced
+    /// encoding.
+    fn tctx(&self, trace: u64, parent: u64) -> Option<TraceCtx> {
+        self.opts.trace.as_ref().map(|_| TraceCtx { trace, parent })
+    }
+
+    /// The trace clock, or 0 when tracing is off.
+    fn now(&self) -> u64 {
+        self.opts.trace.as_deref().map_or(0, |r| r.now_us())
+    }
+
+    /// Records a span from `start` to now and returns its id; records
+    /// nothing and returns 0 when tracing is off.
+    fn span(&self, trace: u64, parent: u64, kind: SpanKind, phase: &'static str, start: u64) -> u64 {
+        self.opts.trace.as_deref().map_or(0, |r| {
+            r.record_span(trace, parent, self.index as u64, kind, phase, start, r.now_us())
+        })
+    }
+}
+
+/// The server event loop: drains `ClientBatch`es through the verification
+/// core (leader-star topology), answers the publish request, and exits on
+/// shutdown.
+///
+/// `ids` is the full server set in index order (`ids[0]` is the leader and
+/// must contain `ep.id()`); `driver` is the node the leader reports
+/// decisions to and every server publishes to.
+pub fn run_server_loop<F: FieldElement, A: Afe<F>>(
+    server: &mut Server<F, A>,
+    ep: &Endpoint,
+    ids: &[NodeId],
+    driver: NodeId,
+    opts: ServerLoopOptions,
+) -> ServerLoopReport {
+    let metrics = LoopMetrics::resolve(&opts.obs);
+    let Some(index) = ids.iter().position(|&id| id == ep.id()) else {
+        metrics.events.error(
+            TARGET,
+            "own_id_missing",
+            "own endpoint id not in the deployment's server set".to_string(),
+        );
+        return ServerLoopReport::default();
+    };
+    let mut known = ids.to_vec();
+    known.push(driver);
+    let mut node = Node {
+        server,
+        ids,
+        driver,
+        index,
+        opts: &opts,
+        metrics: &metrics,
+        inbox: Inbox {
+            ep,
+            stash: VecDeque::new(),
+            policy: opts.frame_policy,
+            known,
+            metrics: &metrics,
+            dropped: 0,
+        },
+        clock: PhaseClock::resolve(opts.obs.registry()),
+        seen: HashSet::new(),
+        seen_order: VecDeque::new(),
+        report: ServerLoopReport::default(),
+    };
+    node.serve();
+    ServerLoopReport {
+        frames_dropped: node.inbox.dropped,
+        timings: node.clock.timings,
+        ..node.report
     }
 }

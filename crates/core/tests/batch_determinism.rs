@@ -1,27 +1,38 @@
 //! Determinism contract of the batched verification pipeline: the batch
-//! entry points must produce **bit-identical** accept/reject decisions and
-//! accumulators to the per-submission path, with and without the parallel
-//! verify pool — including when tampered and malformed submissions sit in
-//! the middle of a batch.
+//! entry points must produce the same accept/reject decisions and
+//! aggregate as an independent per-submission reference, with and without
+//! the parallel verify pool — including when tampered and malformed
+//! submissions sit in the middle of a batch.
+//!
+//! The reference never touches the batch-verification core: every server
+//! unpacks its own share, then `prio_snip`'s per-submission
+//! `run_verification` decides.
 
 use prio_afe::sum::SumAfe;
 use prio_core::{
-    Client, ClientConfig, Cluster, Deployment, DeploymentConfig, ShareBlob,
+    Client, ClientConfig, ClientSubmission, Cluster, Deployment, DeploymentConfig, Server,
+    ServerConfig, ShareBlob,
 };
 use prio_field::{Field64, FieldElement};
+use prio_snip::verifier::run_verification;
 use prio_snip::{HForm, VerifyMode};
 use rand::SeedableRng;
 
 const BITS: u32 = 8;
 
+/// The private value of submission `j`.
+fn value(j: usize) -> u64 {
+    j as u64 % 200
+}
+
 /// A mixed workload: honest submissions with a ballot-stuffing tamper, a
 /// corrupted SNIP `h` share, and a structurally malformed blob in the
 /// middle. Deterministic for a given seed.
-fn workload(s: usize, n: usize, seed: u64) -> Vec<prio_core::ClientSubmission<Field64>> {
+fn workload(s: usize, n: usize, seed: u64) -> Vec<ClientSubmission<Field64>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut client: Client<Field64, _> = Client::new(SumAfe::new(BITS), ClientConfig::new(s));
-    let mut subs: Vec<_> = (0..n as u64)
-        .map(|v| client.submit(&(v % 200), &mut rng).expect("honest input"))
+    let mut subs: Vec<_> = (0..n)
+        .map(|j| client.submit(&value(j), &mut rng).expect("honest input"))
         .collect();
     // Tamper share values (the Section-1 ballot-stuffing attack).
     if let ShareBlob::Explicit(v) = &mut subs[n / 3].blobs[s - 1] {
@@ -39,6 +50,74 @@ fn workload(s: usize, n: usize, seed: u64) -> Vec<prio_core::ClientSubmission<Fi
     subs
 }
 
+/// What the reference decided, and the aggregate it implies.
+struct Reference {
+    decisions: Vec<bool>,
+    /// `σ`: the accepted submissions' truncated shares, summed over
+    /// submissions and servers.
+    sigma: Vec<Field64>,
+    /// The accepted submissions' plaintext values, summed.
+    plain_sum: u128,
+}
+
+/// Verifies every submission on its own, under one verification context.
+/// An honest submission passes under every context and a bad one passes
+/// under a random context only with the SNIP's negligible soundness error,
+/// so the decisions do not depend on which contexts the checked path used.
+fn reference(s: usize, subs: &[ClientSubmission<Field64>]) -> Reference {
+    let servers: Vec<Server<Field64, SumAfe>> = (0..s)
+        .map(|index| {
+            Server::new(
+                SumAfe::new(BITS),
+                ServerConfig {
+                    index,
+                    num_servers: s,
+                    verify_mode: VerifyMode::FixedPoint,
+                    h_form: HForm::PointValue,
+                },
+            )
+        })
+        .collect();
+    let ctx = servers[0].make_context(0x7265_6600).expect("valid config");
+    let mut sigma = vec![Field64::zero(); servers[0].accumulator().len()];
+    let mut plain_sum = 0u128;
+    let decisions = subs
+        .iter()
+        .enumerate()
+        .map(|(j, sub)| {
+            let unpacked: Result<Vec<_>, _> = servers
+                .iter()
+                .zip(&sub.blobs)
+                .map(|(server, blob)| server.unpack(blob, sub.prg_label))
+                .collect();
+            let Ok(unpacked) = unpacked else { return false };
+            let (xs, proofs): (Vec<_>, Vec<_>) = unpacked.into_iter().unzip();
+            let accepted =
+                run_verification(&ctx, servers[0].circuit(), &xs, &proofs).unwrap_or(false);
+            if accepted {
+                for x in &xs {
+                    for (acc, &v) in sigma.iter_mut().zip(x) {
+                        *acc += v;
+                    }
+                }
+                plain_sum += u128::from(value(j));
+            }
+            accepted
+        })
+        .collect();
+    let r = Reference {
+        decisions,
+        sigma,
+        plain_sum,
+    };
+    // The workload's tampered/malformed submissions are rejected, every
+    // honest one accepted: the reference itself is not vacuous.
+    let n = subs.len();
+    let rejected: Vec<usize> = (0..n).filter(|&j| !r.decisions[j]).collect();
+    assert_eq!(rejected, vec![n / 3, n / 2, 2 * n / 3], "reference decisions");
+    r
+}
+
 fn make_cluster(s: usize, ctx_batch: usize, threads: usize) -> Cluster<Field64, SumAfe> {
     Cluster::with_options(
         SumAfe::new(BITS),
@@ -50,84 +129,78 @@ fn make_cluster(s: usize, ctx_batch: usize, threads: usize) -> Cluster<Field64, 
     .with_verify_threads(threads)
 }
 
-/// Runs the same workload through `process` (sequential) and
-/// `process_batch`, asserting identical decisions, counters, and
-/// accumulators.
-fn assert_cluster_paths_agree(s: usize, n: usize, ctx_batch: usize, threads: usize, seed: u64) {
+/// Runs the workload through a cluster with `run` and asserts its
+/// decisions, counters, and aggregate equal the reference's.
+fn assert_cluster_matches_reference(
+    s: usize,
+    n: usize,
+    ctx_batch: usize,
+    threads: usize,
+    seed: u64,
+    run: impl FnOnce(&mut Cluster<Field64, SumAfe>, &[ClientSubmission<Field64>]) -> Vec<bool>,
+) {
     let subs = workload(s, n, seed);
+    let expect = reference(s, &subs);
+    let mut cluster = make_cluster(s, ctx_batch, threads);
+    let decisions = run(&mut cluster, &subs);
 
-    let mut sequential = make_cluster(s, ctx_batch, 1);
-    let seq_decisions: Vec<bool> = subs.iter().map(|sub| sequential.process(sub)).collect();
+    assert_eq!(decisions, expect.decisions, "decisions diverge");
+    assert_eq!(cluster.accepted(), n as u64 - 3);
+    assert_eq!(cluster.rejected(), 3);
+    assert_eq!(cluster.aggregate(), expect.sigma, "aggregate diverges");
+    assert_eq!(cluster.decode().unwrap(), expect.plain_sum, "decoded aggregate diverges");
+}
 
-    let mut batched = make_cluster(s, ctx_batch, threads);
-    let batch_decisions = batched.process_batch(&subs);
-
-    assert_eq!(batch_decisions, seq_decisions, "decisions diverge");
-    assert_eq!(batched.accepted(), sequential.accepted());
-    assert_eq!(batched.rejected(), sequential.rejected());
-    assert_eq!(batched.aggregate(), sequential.aggregate(), "accumulators diverge");
-    assert_eq!(
-        batched.decode().unwrap(),
-        sequential.decode().unwrap(),
-        "decoded aggregate diverges"
-    );
-
-    // The workload's tampered/malformed submissions must actually have been
-    // rejected inside the batch, honest neighbors accepted.
-    assert!(!batch_decisions[n / 3], "ballot-stuffing tamper escaped");
-    assert!(!batch_decisions[n / 2], "corrupted SNIP escaped");
-    assert!(!batch_decisions[2 * n / 3], "malformed blob escaped");
-    assert_eq!(
-        batch_decisions.iter().filter(|&&d| d).count(),
-        n - 3,
-        "honest submissions must all be accepted"
-    );
+fn batched(cluster: &mut Cluster<Field64, SumAfe>, subs: &[ClientSubmission<Field64>]) -> Vec<bool> {
+    cluster.process_batch(subs)
 }
 
 #[test]
 fn cluster_batch_is_bit_identical_to_sequential() {
     // ctx_batch = 7 forces several context refreshes *inside* one
     // process_batch call, exercising the chunking boundary logic.
-    assert_cluster_paths_agree(2, 24, 7, 1, 1);
+    assert_cluster_matches_reference(2, 24, 7, 1, 1, batched);
 }
 
 #[test]
 fn cluster_batch_matches_with_batch_sized_context() {
-    assert_cluster_paths_agree(3, 24, 1024, 1, 2);
+    assert_cluster_matches_reference(3, 24, 1024, 1, 2, batched);
 }
 
 #[test]
 fn cluster_verify_pool_does_not_change_results() {
-    // 3 worker threads per server; decisions and accumulators must be
-    // identical to the single-threaded run.
-    assert_cluster_paths_agree(2, 24, 16, 3, 3);
+    // 3 worker threads per server.
+    assert_cluster_matches_reference(2, 24, 16, 3, 3, batched);
 }
 
 #[test]
 fn cluster_batch_of_one_matches_process() {
-    assert_cluster_paths_agree(2, 12, 1, 1, 4);
+    // `process` is a batch of one; with ctx_batch = 1 every submission
+    // also gets its own verification context.
+    assert_cluster_matches_reference(2, 12, 1, 1, 4, |cluster, subs| {
+        subs.iter().map(|sub| cluster.process(sub)).collect()
+    });
 }
 
 #[test]
 fn deployment_verify_pool_matches_inline() {
     let s = 3;
     let subs = workload(s, 18, 5);
-    let mut reports = Vec::new();
-    let mut all_decisions = Vec::new();
+    let expect = reference(s, &subs);
+    let expect_sigma: Vec<u64> = expect.sigma.iter().map(|v| v.as_u64()).collect();
     for threads in [1usize, 3] {
         let cfg = DeploymentConfig::new(s).with_verify_threads(threads);
         let mut deployment: Deployment<Field64> = Deployment::start(SumAfe::new(BITS), cfg);
         // Two batches so the second context seed is exercised too.
         let mut decisions = deployment.run_batch(&subs[..9]);
         decisions.extend(deployment.run_batch(&subs[9..]));
-        reports.push(deployment.finish());
-        all_decisions.push(decisions);
+        let report = deployment.finish();
+        assert_eq!(decisions, expect.decisions, "threads = {threads}: decisions diverge");
+        assert_eq!(report.accepted, 15, "threads = {threads}");
+        assert_eq!(report.rejected, 3, "threads = {threads}");
+        assert_eq!(report.sigma, expect_sigma, "threads = {threads}: aggregate diverges");
+        assert_eq!(u128::from(report.sigma[0]), expect.plain_sum);
     }
-    assert_eq!(all_decisions[0], all_decisions[1], "thread count changed decisions");
-    assert_eq!(reports[0].accepted, reports[1].accepted);
-    assert_eq!(reports[0].rejected, reports[1].rejected);
-    assert_eq!(reports[0].sigma, reports[1].sigma, "thread count changed the aggregate");
-    assert_eq!(reports[0].rejected, 3, "all three bad submissions rejected");
 }
 
 #[test]

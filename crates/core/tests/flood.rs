@@ -1,16 +1,22 @@
-//! Garbage-flood regression test: a network-facing (Lenient) server loop
-//! hit with 10 000 junk frames must account for every one of them in
-//! `server_frames_dropped_total{reason=...}` while emitting only a bounded
-//! trickle of rate-limited warn events — the stderr-flood fix.
+//! Hostile-frame regression tests for a network-facing (Lenient) server
+//! loop. A loop hit with 10 000 junk frames must account for every one of
+//! them in `server_frames_dropped_total{reason=...}` while emitting only a
+//! bounded trickle of rate-limited warn events — the stderr-flood fix. A
+//! decodable round vector of the wrong length must be dropped the same
+//! way instead of ending the loop.
 
 use prio_afe::sum::SumAfe;
-use prio_core::messages::ServerMsg;
-use prio_core::{run_server_loop, FramePolicy, Server, ServerConfig, ServerLoopOptions};
+use prio_core::messages::{blob_to_bytes, unpack_decisions, ServerMsg};
+use prio_core::{
+    run_server_loop, Client, ClientConfig, FramePolicy, Server, ServerConfig, ServerLoopOptions,
+};
 use prio_field::Field64;
 use prio_net::wire::Wire;
 use prio_net::SimNetwork;
 use prio_obs::{names, CaptureSink, Events, Level, Obs, Registry};
+use rand::SeedableRng;
 use std::sync::Arc;
+use std::time::Duration;
 
 const FLOOD: u64 = 10_000;
 const FROM_STRANGER: u64 = 6_000;
@@ -112,5 +118,104 @@ fn garbage_flood_is_counted_not_printed() {
     assert!(
         captured.iter().any(|e| e.suppressed > 0),
         "a 10k flood must trip the rate limiter"
+    );
+}
+
+fn sum_server(index: usize) -> Server<Field64, SumAfe> {
+    Server::new(
+        SumAfe::new(8),
+        ServerConfig {
+            index,
+            num_servers: 2,
+            verify_mode: prio_snip::VerifyMode::FixedPoint,
+            h_form: prio_snip::HForm::PointValue,
+        },
+    )
+}
+
+#[test]
+fn wrong_length_round_vector_is_dropped_not_fatal() {
+    // A 2-server Lenient leader; this test plays the driver and the
+    // non-leader. The peer's sender id is all a forger needs, so a short
+    // round-1 vector "from the peer" must not end the loop or count as the
+    // peer's contribution.
+    let registry = Arc::new(Registry::new());
+    let events = Events::new(Arc::new(CaptureSink::new()), Level::Debug);
+    let obs = Obs::new(registry.clone(), events);
+    let net = SimNetwork::new();
+    let leader_ep = net.endpoint();
+    let peer_ep = net.endpoint();
+    let driver_ep = net.endpoint();
+    let leader_id = leader_ep.id();
+    let ids = vec![leader_id, peer_ep.id()];
+    let driver_id = driver_ep.id();
+    let handle = std::thread::spawn(move || {
+        let opts = ServerLoopOptions {
+            frame_policy: FramePolicy::Lenient,
+            obs,
+            batch_deadline: Some(Duration::from_secs(10)),
+            ..ServerLoopOptions::default()
+        };
+        run_server_loop(&mut sum_server(0), &leader_ep, &ids, driver_id, opts)
+    });
+
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    let mut client: Client<Field64, _> = Client::new(SumAfe::new(8), ClientConfig::new(2));
+    let subs: Vec<_> = (0..4u64).map(|v| client.submit(&v, &mut rng).unwrap()).collect();
+    let ctx_seed = 0x5eed;
+    let batch = ServerMsg::<Field64>::ClientBatch {
+        ctx_seed,
+        labels: subs.iter().map(|sub| sub.prg_label).collect(),
+        blobs: subs.iter().map(|sub| blob_to_bytes(&sub.blobs[0])).collect(),
+    };
+    driver_ep.send(leader_id, batch.to_wire_bytes()).unwrap();
+
+    let peer = sum_server(1);
+    let ctx = peer.make_context(ctx_seed).unwrap();
+    let unpacked: Vec<_> = subs
+        .iter()
+        .map(|sub| peer.unpack(&sub.blobs[1], sub.prg_label).unwrap())
+        .collect();
+    let items: Vec<_> = unpacked.iter().map(|(x, proof)| (x.as_slice(), proof)).collect();
+    let (states, round1): (Vec<_>, Vec<_>) = peer
+        .round1_batch(&ctx, &items, 1)
+        .into_iter()
+        .map(Result::unwrap)
+        .unzip();
+    let to_leader = |msg: ServerMsg<Field64>| peer_ep.send(leader_id, msg.to_wire_bytes()).unwrap();
+    to_leader(ServerMsg::Round1 {
+        ctx: ctx_seed,
+        msgs: round1[..1].to_vec(),
+    });
+    to_leader(ServerMsg::Round1 {
+        ctx: ctx_seed,
+        msgs: round1,
+    });
+    let env = peer_ep.recv_timeout(Duration::from_secs(10)).expect("combined vector");
+    let combined = match ServerMsg::<Field64>::from_wire_bytes(&env.payload).unwrap() {
+        ServerMsg::Round1Combined { msgs, .. } => msgs,
+        other => panic!("expected Round1Combined, got {other:?}"),
+    };
+    to_leader(ServerMsg::Round2 {
+        ctx: ctx_seed,
+        msgs: peer.round2_batch(&states, &combined),
+    });
+
+    let env = driver_ep.recv_timeout(Duration::from_secs(10)).expect("decisions reach the driver");
+    match ServerMsg::<Field64>::from_wire_bytes(&env.payload).unwrap() {
+        ServerMsg::Decisions { bits, .. } => assert_eq!(unpack_decisions(&bits, 4), vec![true; 4]),
+        other => panic!("expected Decisions, got {other:?}"),
+    }
+    driver_ep
+        .send(leader_id, ServerMsg::<Field64>::Shutdown.to_wire_bytes())
+        .unwrap();
+    let report = handle.join().expect("server loop panicked");
+    assert!(report.clean, "loop must exit through the orderly shutdown");
+    assert_eq!(report.frames_dropped, 1);
+    assert_eq!(
+        registry
+            .snapshot()
+            .counter(names::SERVER_FRAMES_DROPPED, &[("reason", "wrong_length")]),
+        Some(1)
     );
 }

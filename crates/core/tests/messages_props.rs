@@ -37,11 +37,6 @@ fn check_msg(msg: &ServerMsg<Field64>, garbage: &[u8]) {
 
 proptest! {
     #[test]
-    fn batch_start_roundtrips(ctx_seed in any::<u64>(), count in any::<u64>(), garbage in prop::collection::vec(any::<u8>(), 1..9)) {
-        check_msg(&ServerMsg::BatchStart { ctx_seed, count }, &garbage);
-    }
-
-    #[test]
     fn round1_msgs_roundtrip(ctx in any::<u64>(), raw in prop::collection::vec(any::<u64>(), 0..24), garbage in prop::collection::vec(any::<u8>(), 1..9)) {
         let msgs: Vec<Round1Msg<Field64>> = raw
             .chunks(2)
@@ -97,10 +92,13 @@ proptest! {
 
     #[test]
     fn unknown_tags_rejected(tag in 10u8..255, body in prop::collection::vec(any::<u8>(), 0..16)) {
-        // Tags 1..=9 are assigned; everything above must fail cleanly.
-        let mut bytes = vec![tag];
-        bytes.extend_from_slice(&body);
-        prop_assert!(ServerMsg::<Field64>::from_wire_bytes(&bytes).is_err());
+        // Tags 2..=9 are assigned; the retired tag 1 and everything above 9
+        // must fail cleanly.
+        for tag in [1, tag] {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            prop_assert!(ServerMsg::<Field64>::from_wire_bytes(&bytes).is_err());
+        }
     }
 
     #[test]

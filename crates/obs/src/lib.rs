@@ -169,7 +169,7 @@ pub mod names {
     pub const NET_REACTOR_READY_BATCH: &str = "net_reactor_ready_batch";
 
     /// Frames the server loop discarded, labelled `reason = unknown_sender
-    /// | undecodable | stash_overflow | unexpected_kind`.
+    /// | undecodable | wrong_length | stash_overflow | unexpected_kind`.
     pub const SERVER_FRAMES_DROPPED: &str = "server_frames_dropped_total";
     /// Client submissions that verified and were aggregated.
     pub const SERVER_SUBMISSIONS_ACCEPTED: &str = "server_submissions_accepted_total";

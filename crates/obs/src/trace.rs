@@ -542,15 +542,18 @@ pub struct CriticalPath {
 
 /// Attributes each batch's wall time: per batch, every node's in-batch
 /// spans split into compute (unpack/round1/round2) and network-wait
-/// (gather-wait); the node with the largest busy time is the critical
-/// node, and its split is what the batch "spent". Spans with trace id 0
-/// (publish, out-of-batch) are excluded.
+/// (gather-wait); the server with the largest busy time is the critical
+/// node, and its split is what the batch "spent". The node that records
+/// the batch root (the driver) is never the critical node: its wait spans
+/// the servers' whole exchange, so picking it would attribute no compute
+/// at all. Spans with trace id 0 (publish, out-of-batch) are excluded.
 pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
     // (trace, node) -> (compute, wait); trace -> wall.
     let mut costs: BTreeMap<(u64, u64), (u64, u64)> = BTreeMap::new();
     let mut wall: BTreeMap<u64, u64> = BTreeMap::new();
     let mut extent: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+    let mut roots: BTreeSet<(u64, u64)> = BTreeSet::new();
     for s in spans {
         if s.trace == 0 {
             continue;
@@ -560,6 +563,7 @@ pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
             SpanKind::Batch => {
                 let w = wall.entry(s.trace).or_insert(0);
                 *w = (*w).max(dur);
+                roots.insert((s.trace, s.node));
             }
             SpanKind::Unpack | SpanKind::Round1 | SpanKind::Round2 => {
                 costs.entry((s.trace, s.node)).or_insert((0, 0)).0 += dur;
@@ -575,7 +579,7 @@ pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
     }
     let mut out = CriticalPath::default();
     let mut per_node: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
-    let traces: std::collections::BTreeSet<u64> = extent.keys().copied().collect();
+    let traces: BTreeSet<u64> = extent.keys().copied().collect();
     for &t in &traces {
         out.batches += 1;
         out.batch_wall_us = out.batch_wall_us.saturating_add(match wall.get(&t) {
@@ -585,7 +589,10 @@ pub fn critical_path(spans: &[SpanRecord]) -> CriticalPath {
         let mut best: Option<(u64, u64, u64)> = None; // (busy, compute, wait)
         // The range bound pins the trace component, so only the per-node
         // costs of batch `t` are visible here.
-        for (_, &(c, w)) in costs.range((t, 0)..=(t, u64::MAX)) {
+        for (key, &(c, w)) in costs.range((t, 0)..=(t, u64::MAX)) {
+            if roots.contains(key) {
+                continue;
+            }
             let busy = c.saturating_add(w);
             if best.map(|(b, _, _)| busy > b).unwrap_or(true) {
                 best = Some((busy, c, w));
@@ -919,6 +926,20 @@ mod tests {
         assert_eq!(cp.network_wait_us, 600);
         assert_eq!(cp.per_node.len(), 2);
         assert_eq!(cp.per_node[0], NodeCost { node: 0, compute_us: 100, wait_us: 600 });
+    }
+
+    #[test]
+    fn critical_path_never_picks_the_driver() {
+        // The driver (node 9) records the batch root and waits through the
+        // whole exchange: the busiest node, but not the one doing the work.
+        let spans = vec![
+            span(1, 9, SpanKind::Batch, "", 0, 0, 1000),
+            span(1, 9, SpanKind::GatherWait, "decisions", 0, 5, 995),
+            span(1, 0, SpanKind::Round1, "", 0, 10, 110),
+            span(1, 0, SpanKind::GatherWait, "round1", 0, 110, 710),
+        ];
+        let cp = critical_path(&spans);
+        assert_eq!((cp.compute_us, cp.network_wait_us), (100, 600));
     }
 
     #[test]

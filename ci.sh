@@ -7,23 +7,58 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "==> cargo build --release"
+# Wall time per step. `step` closes the running step and opens the next;
+# the EXIT trap closes the last one and prints every step's time, so a
+# failing run also shows where its time went.
+STEP_NAMES=()
+STEP_MS=()
+STEP_NAME=""
+STEP_START=0
+now_ms() { echo $(( ${EPOCHREALTIME/./} / 1000 )); }
+CI_START=$(now_ms)
+end_step() {
+  if [[ -n "$STEP_NAME" ]]; then
+    local ms=$(( $(now_ms) - STEP_START ))
+    STEP_NAMES+=("$STEP_NAME")
+    STEP_MS+=("$ms")
+    printf '    %s: %d.%03d s\n' "$STEP_NAME" $((ms / 1000)) $((ms % 1000))
+  fi
+  STEP_NAME=""
+}
+step() {
+  end_step
+  STEP_NAME="$1"
+  STEP_START=$(now_ms)
+  echo "==> $1"
+}
+summary() {
+  end_step
+  local total=$(( $(now_ms) - CI_START ))
+  echo "==> step wall times"
+  for i in "${!STEP_NAMES[@]}"; do
+    printf '%8d.%03d s  %s\n' $((STEP_MS[i] / 1000)) $((STEP_MS[i] % 1000)) "${STEP_NAMES[i]}"
+  done
+  printf '%8d.%03d s  total\n' $((total / 1000)) $((total % 1000))
+}
+trap summary EXIT
+
+step "cargo build --release"
 cargo build --release --offline
 
-echo "==> cargo test -q"
+step "cargo test -q"
 cargo test -q --offline
 
 # Deliberate re-run: `cargo test -q` above already covers this binary, but
 # the TCP e2e is a named CI gate — if the real-socket path breaks, the log
 # says so explicitly.
-echo "==> e2e over the TCP transport"
+step "e2e over the TCP transport"
 cargo test -q --offline --test e2e_tcp
 
 # Multi-process e2e: 3- and 5-server pipelines as real OS processes
 # (prio-node × s + prio-submit), tampered submissions rejected, aggregates
 # bit-identical to the in-process cluster, all children exiting cleanly.
 # `cargo build -p prio_proc` pins the debug binaries the test spawns.
-echo "==> multi-process e2e (prio_proc)"
+step "multi-process e2e (prio_proc)"
 cargo build --offline -p prio_proc
 cargo test -q --offline --test e2e_proc
 
@@ -32,23 +67,23 @@ cargo test -q --offline --test e2e_proc
 # the prio-obs exposition doesn't parse, if key counters are zero or
 # disagree with NodeStats, or if a 10k garbage-frame flood is not fully
 # accounted for in the drop counters (bounded stderr, exact counts).
-echo "==> observability e2e (GetMetrics scrape + flood accounting)"
+step "observability e2e (GetMetrics scrape + flood accounting)"
 cargo test -q --offline --test e2e_obs
 
 # The benchmark package (perfbench/, its own workspace) has a self-test
 # whose layer probes call the Server API directly; run it so a change to
 # that API cannot break the benchmark unnoticed.
-echo "==> perfbench self-test"
+step "perfbench self-test"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> cargo clippy -- -D warnings"
+step "cargo clippy -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
 # Cross-validation of prio-lint's no-panic rule: clippy's own unwrap/expect
 # lints over the network-facing crates, warn-level so the two checkers can
 # disagree visibly without double-gating (prio-lint is the gate; every
 # surviving warning corresponds to a reasoned lint:allow).
-echo "==> cargo clippy (unwrap/expect cross-check: prio_net, prio_proc)"
+step "cargo clippy (unwrap/expect cross-check: prio_net, prio_proc)"
 cargo clippy --offline --no-deps -p prio_net -p prio_proc --lib --bins -- \
   -W clippy::unwrap_used -W clippy::expect_used
 
@@ -56,25 +91,25 @@ cargo clippy --offline --no-deps -p prio_net -p prio_proc --lib --bins -- \
 # "Invariants"): fails on any finding, on more than 15 inline allows, or if
 # the full-workspace scan takes over 2 s — the lint must never become the
 # slow step.
-echo "==> prio-lint (workspace invariants)"
+step "prio-lint (workspace invariants)"
 cargo build --release --offline -p prio_lint
 cargo run --release --offline -q -p prio_lint -- --timing --max-allows 15 --max-millis 2000
 
-echo "==> prio-bench --smoke (all backends)"
+step "prio-bench --smoke (all backends)"
 cargo run --release --offline -p prio_bench -- --smoke
 cargo run --release --offline -p prio_bench -- --check BENCH_prio.json
 
 # The plain --smoke above already runs the TCP scenarios; this slice exists
 # to exercise the --backend CLI filter end-to-end (registry filtering, a
 # tcp-only report, and its validation).
-echo "==> prio-bench --smoke --backend tcp (real-socket slice)"
+step "prio-bench --smoke --backend tcp (real-socket slice)"
 cargo run --release --offline -p prio_bench -- --smoke --backend tcp --out target/bench_tcp.json
 cargo run --release --offline -p prio_bench -- --check target/bench_tcp.json
 
 # Batched-verification slice: re-runs the batch × thread sweep in isolation
 # and re-validates its scenario tags (threads/batch params, throughput
 # metric) through prio-bench --check.
-echo "==> prio-bench --smoke --filter fig5/batch_verify (batched verification slice)"
+step "prio-bench --smoke --filter fig5/batch_verify (batched verification slice)"
 cargo run --release --offline -p prio_bench -- --smoke --filter fig5/batch_verify --out target/bench_batch_verify.json
 cargo run --release --offline -p prio_bench -- --check target/bench_batch_verify.json
 
@@ -83,7 +118,7 @@ cargo run --release --offline -p prio_bench -- --check target/bench_batch_verify
 # the top smoke point). The runner itself asserts byte accounting is
 # identical across I/O modes and that the concurrency peak was reached;
 # --check validates the report shape.
-echo "==> prio-bench --smoke --filter fig4/conn_sweep (connection-churn slice)"
+step "prio-bench --smoke --filter fig4/conn_sweep (connection-churn slice)"
 cargo run --release --offline -p prio_bench -- --smoke --filter fig4/conn_sweep --out target/bench_conn_sweep.json
 cargo run --release --offline -p prio_bench -- --check target/bench_conn_sweep.json
 
@@ -94,7 +129,7 @@ cargo run --release --offline -p prio_bench -- --check target/bench_conn_sweep.j
 # enabled by construction: every proc scenario's `obs` block is built from
 # GetMetrics scrapes of the node processes, so an unparseable exposition
 # fails the run and --check rejects a document whose summaries lack p99.
-echo "==> prio-bench --smoke --backend proc (multi-process slice)"
+step "prio-bench --smoke --backend proc (multi-process slice)"
 cargo run --release --offline -p prio_bench -- --smoke --backend proc --out target/bench_proc.json
 cargo run --release --offline -p prio_bench -- --check target/bench_proc.json
 
@@ -108,7 +143,7 @@ cargo run --release --offline -p prio_bench -- --check target/bench_proc.json
 #      every robustness ledger in canonical compact form, wall-clock
 #      excluded by construction — must be byte-identical. Same fault
 #      seed, same faults, same ledger, on all three fabrics.
-echo "==> chaos gate (e2e_chaos + seeded-replay ledger diff)"
+step "chaos gate (e2e_chaos + seeded-replay ledger diff)"
 cargo test -q --offline --test e2e_chaos
 cargo run --release --offline -p prio_bench -- --smoke --filter fig7/robustness --out target/bench_chaos_a.json
 cargo run --release --offline -p prio_bench -- --smoke --filter fig7/robustness --out target/bench_chaos_b.json
@@ -130,10 +165,12 @@ diff target/ledgers_a.txt target/ledgers_b.txt || {
 # that sums to within the batch wall time. The traced fig4 rows in the
 # main --smoke report above are additionally validated by
 # prio-bench --check (trace block required on traced scenarios).
-echo "==> trace gate (sim + proc Chrome-trace export, prio-trace --check)"
+step "trace gate (sim + proc Chrome-trace export, prio-trace --check)"
 cargo run --release --offline -q -p prio_bench -- --trace "fig4/throughput/sum/s=3" --out target/trace_sim.json
 cargo run --release --offline -q -p prio_bench -- --trace "fig4/throughput/sum/s=3/proc" --out target/trace_proc.json
 cargo run --release --offline -q -p prio_bench --bin prio-trace -- --check target/trace_sim.json
 cargo run --release --offline -q -p prio_bench --bin prio-trace -- --check target/trace_proc.json
 
+summary
+trap - EXIT
 echo "CI OK"

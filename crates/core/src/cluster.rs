@@ -159,7 +159,7 @@ impl<F: FieldElement, A: Afe<F> + Clone> Cluster<F, A> {
 
             // The batch id (`ctx`) is fixed-width, so its value does not
             // change a message's size.
-            let wire_len = |msg: ServerMsg<F>| msg.to_wire_bytes().len() as u64;
+            let wire_len = |msg: ServerMsg<F>| msg.encoded_len() as u64;
             for (i, (r1, r2)) in round1.into_iter().zip(round2).enumerate().skip(1) {
                 self.sent_bytes[i] += wire_len(ServerMsg::Round1 { ctx: 0, msgs: r1 })
                     + wire_len(ServerMsg::Round2 { ctx: 0, msgs: r2 });

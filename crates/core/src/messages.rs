@@ -12,9 +12,14 @@ use prio_net::wire::{
 };
 use prio_snip::{Round1Msg, Round2Msg};
 
-/// Serializes a share blob (`0x00 seed` | `0x01 field-vec`).
+/// Serializes a share blob (`0x00 seed` | `0x01 field-vec`) into one
+/// buffer of exactly its encoded size.
 pub fn blob_to_bytes<F: FieldElement>(blob: &ShareBlob<F>) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let body = match blob {
+        ShareBlob::Seed(_) => prio_crypto::prg::SEED_LEN,
+        ShareBlob::Explicit(v) => 4 + v.len() * F::ENCODED_LEN,
+    };
+    let mut buf = Vec::with_capacity(1 + body);
     match blob {
         ShareBlob::Seed(seed) => {
             buf.put_u8(0);
@@ -28,27 +33,53 @@ pub fn blob_to_bytes<F: FieldElement>(blob: &ShareBlob<F>) -> Vec<u8> {
     buf
 }
 
-/// Parses a share blob.
+/// Parses a share blob, requiring it to fill `bytes` exactly: a blob
+/// has one encoding, so trailing bytes are an error.
 pub fn blob_from_bytes<F: FieldElement>(mut bytes: &[u8]) -> Result<ShareBlob<F>, WireError> {
     if bytes.is_empty() {
         return Err(WireError("empty blob"));
     }
     let tag = bytes.get_u8();
-    match tag {
+    let blob = match tag {
         0 => {
             if bytes.remaining() < prio_crypto::prg::SEED_LEN {
                 return Err(WireError("truncated seed"));
             }
             let mut seed = [0u8; prio_crypto::prg::SEED_LEN];
             bytes.copy_to_slice(&mut seed);
-            Ok(ShareBlob::Seed(prio_crypto::prg::Seed(seed)))
+            ShareBlob::Seed(prio_crypto::prg::Seed(seed))
         }
-        1 => {
-            let v = get_field_vec(&mut bytes)?;
-            Ok(ShareBlob::Explicit(v))
-        }
-        _ => Err(WireError("unknown blob tag")),
+        1 => ShareBlob::Explicit(get_field_vec(&mut bytes)?),
+        _ => return Err(WireError("unknown blob tag")),
+    };
+    if bytes.has_remaining() {
+        return Err(WireError("trailing bytes after blob"));
     }
+    Ok(blob)
+}
+
+/// Decodes the body of a round frame: the batch ctx, then a count and
+/// that many field-element pairs, each built into a message by `pair`.
+/// `truncated` names the errors for a short ctx and a short body.
+fn get_round<F: FieldElement, B: Buf, M>(
+    buf: &mut B,
+    truncated: [&'static str; 2],
+    pair: fn(F, F) -> M,
+) -> Result<(u64, Vec<M>), WireError> {
+    if buf.remaining() < 8 {
+        return Err(WireError(truncated[0]));
+    }
+    let ctx = buf.get_u64_le();
+    let len = get_len(buf)?;
+    if buf.remaining() < len.saturating_mul(2 * F::ENCODED_LEN) {
+        return Err(WireError(truncated[1]));
+    }
+    let mut msgs = Vec::with_capacity(len);
+    for _ in 0..len {
+        let a = get_field(buf)?;
+        msgs.push(pair(a, get_field(buf)?));
+    }
+    Ok((ctx, msgs))
 }
 
 /// Server-to-server protocol messages for batched verification.
@@ -118,6 +149,26 @@ const TAG_CLIENT_BATCH: u8 = 8;
 const TAG_SHUTDOWN: u8 = 9;
 
 impl<F: FieldElement> Wire for ServerMsg<F> {
+    /// Computed from the lengths alone: these frames carry every field
+    /// element of a batch, so a counting pass would cost about as much as
+    /// the encoding itself.
+    fn encoded_len(&self) -> usize {
+        // Tag byte, then a ctx and a `u32` count.
+        const HEAD: usize = 1 + 8 + 4;
+        match self {
+            ServerMsg::Round1 { msgs, .. } | ServerMsg::Round1Combined { msgs, .. } => {
+                HEAD + msgs.len() * 2 * F::ENCODED_LEN
+            }
+            ServerMsg::Round2 { msgs, .. } => HEAD + msgs.len() * 2 * F::ENCODED_LEN,
+            ServerMsg::Decisions { bits, .. } => HEAD + bits.len(),
+            ServerMsg::PublishRequest | ServerMsg::Shutdown => 1,
+            ServerMsg::Accumulator(v) => 1 + 4 + v.len() * F::ENCODED_LEN,
+            ServerMsg::ClientBatch { labels, blobs, .. } => {
+                HEAD + labels.len() * 8 + 4 + blobs.iter().map(|b| 4 + b.len()).sum::<usize>()
+            }
+        }
+    }
+
     fn encode<B: BufMut>(&self, buf: &mut B) {
         match self {
             ServerMsg::Round1 { ctx, msgs } => {
@@ -186,22 +237,10 @@ impl<F: FieldElement> Wire for ServerMsg<F> {
         let tag = buf.get_u8();
         match tag {
             TAG_ROUND1 | TAG_ROUND1_COMBINED => {
-                if buf.remaining() < 8 {
-                    return Err(WireError("truncated round1 ctx"));
-                }
-                let ctx = buf.get_u64_le();
-                let len = get_len(buf)?;
-                if buf.remaining() < len.saturating_mul(2 * F::ENCODED_LEN) {
-                    return Err(WireError("truncated round1"));
-                }
-                let msgs = (0..len)
-                    .map(|_| {
-                        Ok(Round1Msg {
-                            d: get_field(buf)?,
-                            e: get_field(buf)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, WireError>>()?;
+                let (ctx, msgs) =
+                    get_round(buf, ["truncated round1 ctx", "truncated round1"], |d, e| {
+                        Round1Msg { d, e }
+                    })?;
                 if tag == TAG_ROUND1 {
                     Ok(ServerMsg::Round1 { ctx, msgs })
                 } else {
@@ -209,22 +248,11 @@ impl<F: FieldElement> Wire for ServerMsg<F> {
                 }
             }
             TAG_ROUND2 => {
-                if buf.remaining() < 8 {
-                    return Err(WireError("truncated round2 ctx"));
-                }
-                let ctx = buf.get_u64_le();
-                let len = get_len(buf)?;
-                if buf.remaining() < len.saturating_mul(2 * F::ENCODED_LEN) {
-                    return Err(WireError("truncated round2"));
-                }
-                let msgs = (0..len)
-                    .map(|_| {
-                        Ok(Round2Msg {
-                            sigma: get_field(buf)?,
-                            out: get_field(buf)?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, WireError>>()?;
+                let (ctx, msgs) = get_round(
+                    buf,
+                    ["truncated round2 ctx", "truncated round2"],
+                    |sigma, out| Round2Msg { sigma, out },
+                )?;
                 Ok(ServerMsg::Round2 { ctx, msgs })
             }
             TAG_DECISIONS => {

@@ -9,7 +9,7 @@ use prio_core::messages::{
 };
 use prio_crypto::prg::{Seed, SEED_LEN};
 use prio_field::{Field64, FieldElement};
-use prio_net::wire::Wire;
+use prio_net::wire::{Wire, WireError};
 use prio_snip::{Round1Msg, Round2Msg};
 use proptest::prelude::*;
 
@@ -20,6 +20,7 @@ fn felts(raw: &[u64]) -> Vec<Field64> {
 /// Round-trip plus rejection of every strict prefix and of trailing bytes.
 fn check_msg(msg: &ServerMsg<Field64>, garbage: &[u8]) {
     let bytes = msg.to_wire_bytes();
+    assert_eq!(msg.encoded_len(), bytes.len(), "{msg:?} size");
     assert_eq!(&ServerMsg::<Field64>::from_wire_bytes(&bytes).unwrap(), msg);
     for cut in 0..bytes.len() {
         assert!(
@@ -35,7 +36,59 @@ fn check_msg(msg: &ServerMsg<Field64>, garbage: &[u8]) {
     );
 }
 
+/// Overwrites field element `index` of an encoded round frame (tag, ctx
+/// and count come first) with `2^64 − 1 - low`, which is `>= p` for
+/// `Field64` (`p = 2^64 − 2^32 + 1`); the decoder must reject it.
+fn check_non_canonical_round(msg: &ServerMsg<Field64>, index: usize, low: u16) {
+    let mut bytes = msg.to_wire_bytes();
+    let at = 1 + 8 + 4 + index * Field64::ENCODED_LEN;
+    let bad = u64::MAX - u64::from(low);
+    bytes[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+    assert_eq!(
+        ServerMsg::<Field64>::from_wire_bytes(&bytes),
+        Err(WireError("non-canonical field element")),
+        "{msg:?} with a non-canonical element at {index}"
+    );
+}
+
 proptest! {
+    #[test]
+    fn non_canonical_residue_anywhere_in_a_round_frame_is_rejected(
+        raw in prop::collection::vec(any::<u64>(), 1..24),
+        index in any::<usize>(),
+        low in any::<u16>(),
+    ) {
+        let r1: Vec<Round1Msg<Field64>> = raw
+            .iter()
+            .map(|&v| Round1Msg { d: Field64::from_u64(v), e: Field64::from_u64(!v) })
+            .collect();
+        let r2: Vec<Round2Msg<Field64>> = raw
+            .iter()
+            .map(|&v| Round2Msg { sigma: Field64::from_u64(!v), out: Field64::from_u64(v) })
+            .collect();
+        let i = index % (2 * raw.len());
+        check_non_canonical_round(&ServerMsg::Round1 { ctx: 1, msgs: r1 }, i, low);
+        check_non_canonical_round(&ServerMsg::Round2 { ctx: 2, msgs: r2 }, i, low);
+    }
+
+    #[test]
+    fn share_blobs_reject_trailing_bytes(
+        seed in any::<[u8; SEED_LEN]>(),
+        raw in prop::collection::vec(any::<u64>(), 0..24),
+        garbage in prop::collection::vec(any::<u8>(), 1..9),
+    ) {
+        // One submission has one encoding: a blob followed by anything
+        // else is malformed, so the server rejects it locally.
+        for blob in [ShareBlob::Seed(Seed(seed)), ShareBlob::Explicit(felts(&raw))] {
+            let mut bytes = blob_to_bytes(&blob);
+            bytes.extend_from_slice(&garbage);
+            prop_assert_eq!(
+                blob_from_bytes::<Field64>(&bytes),
+                Err(WireError("trailing bytes after blob"))
+            );
+        }
+    }
+
     #[test]
     fn round1_msgs_roundtrip(ctx in any::<u64>(), raw in prop::collection::vec(any::<u64>(), 0..24), garbage in prop::collection::vec(any::<u8>(), 1..9)) {
         let msgs: Vec<Round1Msg<Field64>> = raw

@@ -3,9 +3,18 @@
 //! Hand-rolled (rather than derived) so message sizes are byte-exact and
 //! stable: Figure 6's bandwidth numbers are measured off these encodings.
 //! All integers are little-endian; vectors are length-prefixed with `u32`.
+//!
+//! Allocation contract. Field elements are encoded and decoded through a
+//! stack scratch, never a heap temporary, so the data-plane codec's cost
+//! does not grow with heap traffic per element. Encoding a frame
+//! ([`Wire::to_wire_bytes`], [`to_traced_bytes`]) allocates one buffer of
+//! exactly the frame's size, trace suffix included, measured first by
+//! [`Wire::encoded_len`]. Decoding allocates once per decoded collection
+//! (a field vector, a byte vector), at its final size.
 
 use bytes::{Buf, BufMut};
 use prio_field::FieldElement;
+use std::marker::PhantomData;
 
 /// Error from decoding a wire message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,9 +35,17 @@ pub trait Wire: Sized {
     /// Decodes a value, consuming bytes from `buf`.
     fn decode<B: Buf>(buf: &mut B) -> Result<Self, WireError>;
 
-    /// Convenience: encodes into a fresh vector.
+    /// The exact number of bytes [`Wire::encode`] appends, measured by
+    /// encoding into a counter rather than a buffer.
+    fn encoded_len(&self) -> usize {
+        let mut n = LenCounter(0);
+        self.encode(&mut n);
+        n.0
+    }
+
+    /// Convenience: encodes into a fresh vector of exactly the encoded size.
     fn to_wire_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::new();
+        let mut v = Vec::with_capacity(self.encoded_len());
         self.encode(&mut v);
         v
     }
@@ -51,8 +68,17 @@ pub fn put_len<B: BufMut>(buf: &mut B, len: usize) {
     buf.put_u32_le(u32::try_from(len).expect("length exceeds u32"));
 }
 
-/// Reads a `u32` length prefix, bounding it by the remaining bytes to avoid
-/// pathological allocations.
+/// A [`BufMut`] that keeps only the number of bytes put into it.
+struct LenCounter(usize);
+
+impl BufMut for LenCounter {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// Reads a `u32` length prefix. The value is unchecked: each caller bounds
+/// it by the bytes remaining before allocating for it.
 pub fn get_len<B: Buf>(buf: &mut B) -> Result<usize, WireError> {
     if buf.remaining() < 4 {
         return Err(WireError("truncated length"));
@@ -142,6 +168,10 @@ impl Wire for Vec<u8> {
 /// Tag byte opening a trace-context suffix (see [`to_traced_bytes`]).
 pub const TRACE_SUFFIX_CTX: u8 = 1;
 
+/// Length of a trace-context suffix: the tag byte, then `trace` and
+/// `parent` as `u64`s.
+const TRACE_SUFFIX_LEN: usize = 17;
+
 /// Encodes `msg` with an optional per-batch trace-context suffix: the
 /// canonical encoding, then — only when tracing — a tag byte and the
 /// `(trace, parent)` pair. With `ctx = None` the bytes are *identical*
@@ -149,7 +179,9 @@ pub const TRACE_SUFFIX_CTX: u8 = 1;
 /// frame sizes Figure 6 measures, and traced frames stay decodable by
 /// the suffix-aware reader everywhere.
 pub fn to_traced_bytes<W: Wire>(msg: &W, ctx: Option<prio_obs::TraceCtx>) -> Vec<u8> {
-    let mut v = msg.to_wire_bytes();
+    let suffix = if ctx.is_some() { TRACE_SUFFIX_LEN } else { 0 };
+    let mut v = Vec::with_capacity(msg.encoded_len() + suffix);
+    msg.encode(&mut v);
     if let Some(ctx) = ctx {
         v.put_u8(TRACE_SUFFIX_CTX);
         v.put_u64_le(ctx.trace);
@@ -167,7 +199,7 @@ pub fn from_traced_bytes<W: Wire>(mut bytes: &[u8]) -> Result<(W, Option<prio_ob
     if !bytes.has_remaining() {
         return Ok((msg, None));
     }
-    if bytes.remaining() != 17 || u8::decode(&mut bytes)? != TRACE_SUFFIX_CTX {
+    if bytes.remaining() != TRACE_SUFFIX_LEN || u8::decode(&mut bytes)? != TRACE_SUFFIX_CTX {
         return Err(WireError("malformed trace suffix"));
     }
     let trace = u64::decode(&mut bytes)?;
@@ -175,21 +207,38 @@ pub fn from_traced_bytes<W: Wire>(mut bytes: &[u8]) -> Result<(W, Option<prio_ob
     Ok((msg, Some(prio_obs::TraceCtx { trace, parent })))
 }
 
+/// Stack scratch one field element is encoded into or decoded from.
+/// Every field in `prio_field` encodes in at most 32 bytes.
+const FIELD_SCRATCH_LEN: usize = 64;
+
+/// The width of `F` on the wire, checked at compile time against the
+/// scratch.
+struct Encoded<F>(PhantomData<F>);
+
+impl<F: FieldElement> Encoded<F> {
+    /// `F::ENCODED_LEN`. For a field wider than the scratch the inner
+    /// subtraction overflows during constant evaluation and the build
+    /// fails, so this never exceeds the scratch at run time.
+    const LEN: usize = FIELD_SCRATCH_LEN - (FIELD_SCRATCH_LEN - F::ENCODED_LEN);
+}
+
 /// Encodes a field element (canonical little-endian residue).
 pub fn put_field<F: FieldElement, B: BufMut>(buf: &mut B, x: F) {
-    let mut tmp = vec![0u8; F::ENCODED_LEN];
-    x.write_le_bytes(&mut tmp);
-    buf.put_slice(&tmp);
+    let mut scratch = [0u8; FIELD_SCRATCH_LEN];
+    let (elem, _) = scratch.split_at_mut(Encoded::<F>::LEN);
+    x.write_le_bytes(elem);
+    buf.put_slice(elem);
 }
 
 /// Decodes a field element, rejecting non-canonical residues.
 pub fn get_field<F: FieldElement, B: Buf>(buf: &mut B) -> Result<F, WireError> {
-    if buf.remaining() < F::ENCODED_LEN {
+    if buf.remaining() < Encoded::<F>::LEN {
         return Err(WireError("truncated field element"));
     }
-    let mut tmp = vec![0u8; F::ENCODED_LEN];
-    buf.copy_to_slice(&mut tmp);
-    F::read_le_bytes(&tmp).ok_or(WireError("non-canonical field element"))
+    let mut scratch = [0u8; FIELD_SCRATCH_LEN];
+    let (elem, _) = scratch.split_at_mut(Encoded::<F>::LEN);
+    buf.copy_to_slice(elem);
+    F::read_le_bytes(elem).ok_or(WireError("non-canonical field element"))
 }
 
 /// Encodes a field-element vector with a length prefix.
@@ -206,7 +255,11 @@ pub fn get_field_vec<F: FieldElement, B: Buf>(buf: &mut B) -> Result<Vec<F>, Wir
     if buf.remaining() < len.saturating_mul(F::ENCODED_LEN) {
         return Err(WireError("truncated field vector"));
     }
-    (0..len).map(|_| get_field(buf)).collect()
+    let mut xs = Vec::with_capacity(len);
+    for _ in 0..len {
+        xs.push(get_field(buf)?);
+    }
+    Ok(xs)
 }
 
 #[cfg(test)]

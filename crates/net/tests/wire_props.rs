@@ -7,11 +7,12 @@
 //! must produce a clean `WireError`, never a wrong value, a panic, or an
 //! unbounded allocation.
 
-use prio_field::{Field128, Field64, FieldElement};
+use prio_field::{Field128, Field256, Field32, Field64, FieldElement};
 use prio_net::tcp::{decode_frame_header, encode_frame, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use prio_net::wire::{get_field, get_field_vec, put_field, put_field_vec, Wire, WireError};
 use prio_net::NodeId;
 use proptest::prelude::*;
+use rand::SeedableRng;
 
 /// Round-trips a value and checks the two decode-rejection properties that
 /// hold for every `Wire` encoding:
@@ -39,6 +40,69 @@ fn roundtrip_and_reject<T: Wire + PartialEq + std::fmt::Debug>(value: &T, garbag
             Err(WireError("trailing bytes"))
         );
     }
+}
+
+/// `n` field elements drawn from every residue, not only small ones.
+fn random_elems<F: FieldElement>(seed: u64, n: usize) -> Vec<F> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    (0..n).map(|_| F::random(&mut rng)).collect()
+}
+
+/// A field vector round-trips at its exact size, and every strict prefix
+/// fails to decode.
+fn check_field_vec<F: FieldElement>(xs: &[F]) {
+    let mut buf = Vec::new();
+    put_field_vec(&mut buf, xs);
+    assert_eq!(buf.len(), 4 + xs.len() * F::ENCODED_LEN);
+    let mut slice = buf.as_slice();
+    assert_eq!(get_field_vec::<F, _>(&mut slice).unwrap(), xs);
+    assert!(slice.is_empty());
+    for cut in 0..buf.len() {
+        let mut short = &buf[..cut];
+        assert!(
+            get_field_vec::<F, _>(&mut short).is_err(),
+            "{} vector decoded from a {cut}-byte prefix",
+            F::NAME
+        );
+    }
+}
+
+/// A length prefix promising more elements than the buffer holds errors,
+/// without allocating the promised amount.
+fn check_length_bomb<F: FieldElement>(claimed: u32, tail: &[u8]) {
+    if (claimed as usize) * F::ENCODED_LEN <= tail.len() {
+        return;
+    }
+    let mut buf = claimed.to_le_bytes().to_vec();
+    buf.extend_from_slice(tail);
+    let mut slice = buf.as_slice();
+    assert!(get_field_vec::<F, _>(&mut slice).is_err());
+}
+
+/// An encoding of a value `>= p`: all ones except the low 16 bits. Every
+/// modulus is below `2^k - 2^16` for its width `k` (the closest,
+/// `Field64`'s `2^64 - 2^32 + 1`, by `2^32`), so each such value is
+/// non-canonical.
+fn non_canonical<F: FieldElement>(low: u16) -> Vec<u8> {
+    let mut bytes = vec![0xff; F::ENCODED_LEN];
+    bytes[..2].copy_from_slice(&low.to_le_bytes());
+    bytes
+}
+
+/// Overwrites element `index` of an encoded vector with a non-canonical
+/// residue; the decoder must name it, not read past or around it.
+fn check_non_canonical_in_vec<F: FieldElement>(xs: &[F], index: usize, low: u16) {
+    let mut buf = Vec::new();
+    put_field_vec(&mut buf, xs);
+    let at = 4 + index * F::ENCODED_LEN;
+    buf[at..at + F::ENCODED_LEN].copy_from_slice(&non_canonical::<F>(low));
+    let mut slice = buf.as_slice();
+    assert_eq!(
+        get_field_vec::<F, _>(&mut slice),
+        Err(WireError("non-canonical field element")),
+        "{} vector with a non-canonical element at {index}",
+        F::NAME
+    );
 }
 
 proptest! {
@@ -70,35 +134,39 @@ proptest! {
     }
 
     #[test]
+    fn field32_vec_roundtrips(seed in any::<u64>(), n in 0usize..32) {
+        check_field_vec(&random_elems::<Field32>(seed, n));
+    }
+
+    #[test]
     fn field64_vec_roundtrips(raw in prop::collection::vec(any::<u64>(), 0..32)) {
         let xs: Vec<Field64> = raw.iter().map(|&v| Field64::from_u64(v)).collect();
-        let mut buf = Vec::new();
-        put_field_vec(&mut buf, &xs);
-        prop_assert_eq!(buf.len(), 4 + xs.len() * Field64::ENCODED_LEN);
-        let mut slice = buf.as_slice();
-        let back: Vec<Field64> = get_field_vec(&mut slice).unwrap();
-        prop_assert_eq!(back, xs);
-        prop_assert!(slice.is_empty());
-        // Every strict prefix fails to decode the full vector.
-        for cut in 0..buf.len() {
-            let mut short = &buf[..cut];
-            prop_assert!(get_field_vec::<Field64, _>(&mut short).is_err());
-        }
+        check_field_vec(&xs);
     }
 
     #[test]
     fn field128_vec_roundtrips(raw in prop::collection::vec(any::<u128>(), 0..16)) {
         let xs: Vec<Field128> = raw.iter().map(|&v| Field128::from_u128(v)).collect();
-        let mut buf = Vec::new();
-        put_field_vec(&mut buf, &xs);
-        prop_assert_eq!(buf.len(), 4 + xs.len() * Field128::ENCODED_LEN);
-        let mut slice = buf.as_slice();
-        let back: Vec<Field128> = get_field_vec(&mut slice).unwrap();
-        prop_assert_eq!(back, xs);
-        for cut in 0..buf.len() {
-            let mut short = &buf[..cut];
-            prop_assert!(get_field_vec::<Field128, _>(&mut short).is_err());
-        }
+        check_field_vec(&xs);
+    }
+
+    #[test]
+    fn field256_vec_roundtrips(seed in any::<u64>(), n in 0usize..8) {
+        check_field_vec(&random_elems::<Field256>(seed, n));
+    }
+
+    #[test]
+    fn non_canonical_residue_anywhere_in_a_field_vec_is_rejected(
+        seed in any::<u64>(),
+        n in 1usize..16,
+        index in any::<usize>(),
+        low in any::<u16>(),
+    ) {
+        let i = index % n;
+        check_non_canonical_in_vec(&random_elems::<Field32>(seed, n), i, low);
+        check_non_canonical_in_vec(&random_elems::<Field64>(seed, n), i, low);
+        check_non_canonical_in_vec(&random_elems::<Field128>(seed, n), i, low);
+        check_non_canonical_in_vec(&random_elems::<Field256>(seed, n), i, low);
     }
 
     #[test]
@@ -113,14 +181,10 @@ proptest! {
 
     #[test]
     fn claimed_length_never_outruns_backing_bytes(claimed in any::<u32>(), tail in prop::collection::vec(any::<u8>(), 0..32)) {
-        // A length prefix promising more elements than the buffer holds
-        // must error (without allocating the promised amount) whenever the
-        // claim exceeds the backing bytes.
-        let mut buf = claimed.to_le_bytes().to_vec();
-        buf.extend_from_slice(&tail);
-        prop_assume!((claimed as usize) * Field64::ENCODED_LEN > tail.len());
-        let mut slice = buf.as_slice();
-        prop_assert!(get_field_vec::<Field64, _>(&mut slice).is_err());
+        check_length_bomb::<Field32>(claimed, &tail);
+        check_length_bomb::<Field64>(claimed, &tail);
+        check_length_bomb::<Field128>(claimed, &tail);
+        check_length_bomb::<Field256>(claimed, &tail);
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! copies, and remaining-byte accounting. [`Buf`] is implemented for
 //! `&[u8]` (decoding consumes the slice front) and [`BufMut`] for `Vec<u8>`
 //! (encoding appends).
+//!
+//! The workspace builds without LTO, so the non-generic methods the codec
+//! calls once per field element are `#[inline]`: without it each one is an
+//! out-of-line call from the crate that encodes or decodes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,11 +28,13 @@ pub trait Buf {
     fn copy_to_slice(&mut self, dst: &mut [u8]);
 
     /// True if any bytes are left.
+    #[inline]
     fn has_remaining(&self) -> bool {
         self.remaining() > 0
     }
 
     /// Reads one byte.
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         let mut b = [0u8; 1];
         self.copy_to_slice(&mut b);
@@ -36,6 +42,7 @@ pub trait Buf {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         let mut b = [0u8; 4];
         self.copy_to_slice(&mut b);
@@ -43,6 +50,7 @@ pub trait Buf {
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.copy_to_slice(&mut b);
@@ -51,10 +59,12 @@ pub trait Buf {
 }
 
 impl Buf for &[u8] {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn copy_to_slice(&mut self, dst: &mut [u8]) {
         assert!(
             dst.len() <= self.len(),
@@ -92,22 +102,26 @@ pub trait BufMut {
     fn put_slice(&mut self, src: &[u8]);
 
     /// Appends one byte.
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.put_slice(&[v]);
     }
 
     /// Appends a little-endian `u32`.
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.put_slice(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.put_slice(&v.to_le_bytes());
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

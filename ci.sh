@@ -113,15 +113,6 @@ step "prio-bench --smoke --filter fig5/batch_verify (batched verification slice)
 cargo run --release --offline -p prio_bench -- --smoke --filter fig5/batch_verify --out target/bench_batch_verify.json
 cargo run --release --offline -p prio_bench -- --check target/bench_batch_verify.json
 
-# Connection-churn slice: the reactor vs. thread-per-connection sweep in
-# isolation (raw TCP endpoint, ≥ 1k concurrent short-lived connections at
-# the top smoke point). The runner itself asserts byte accounting is
-# identical across I/O modes and that the concurrency peak was reached;
-# --check validates the report shape.
-step "prio-bench --smoke --filter fig4/conn_sweep (connection-churn slice)"
-cargo run --release --offline -p prio_bench -- --smoke --filter fig4/conn_sweep --out target/bench_conn_sweep.json
-cargo run --release --offline -p prio_bench -- --check target/bench_conn_sweep.json
-
 # Multi-process slice: exercises the --backend proc filter end to end. The
 # release prio-node/prio-submit binaries exist because the initial
 # `cargo build --release` covers every default member; prio-bench locates

@@ -667,7 +667,7 @@ fn run_batch_verify(sc: &Scenario) -> Json {
 }
 
 // ---------------------------------------------------------------------------
-// Figure-4 companion: connection churn vs. inbound I/O mode.
+// Figure-4 companion: connection churn against one TCP endpoint.
 // ---------------------------------------------------------------------------
 
 /// Dials the churn endpoint, riding out transient refusals while the
@@ -692,9 +692,8 @@ fn connect_with_retry(addr: std::net::SocketAddr) -> std::net::TcpStream {
 /// connections are opened concurrently (8 dialer threads), held until the
 /// server has accepted every one of them, and then each sends a single
 /// 64-byte frame and closes. No protocol runs — this isolates what the
-/// inbound I/O mode (thread-per-connection vs. reactor) costs for accept,
-/// per-connection state, and teardown. Byte accounting is mode-independent
-/// by construction: both paths count delivered payload bytes.
+/// endpoint's inbound reactor costs for accept, per-connection state, and
+/// teardown, and checks that every delivered payload byte is counted.
 fn run_conn_sweep(sc: &Scenario) -> Json {
     use prio_net::tcp::encode_frame;
     use prio_net::{Endpoint, NodeId, TcpTransport};
@@ -706,7 +705,7 @@ fn run_conn_sweep(sc: &Scenario) -> Json {
 
     let conns = sc.submissions;
     let before = prio_obs::Registry::global().snapshot();
-    let net = TcpTransport::with_options(None, sc.io_mode);
+    let net = TcpTransport::new();
     let Endpoint::Tcp(mut server) = net
         .try_endpoint_with_id(NodeId(0))
         .expect("churn endpoint binds an ephemeral port")
@@ -768,8 +767,7 @@ fn run_conn_sweep(sc: &Scenario) -> Json {
     assert_eq!(bytes_received, (conns * PAYLOAD_LEN) as u64 * iters);
     assert!(peak_conns >= conns as u64, "never reached the concurrency peak");
 
-    // Reactor-loop counters out of the global registry (zero in threaded
-    // mode — which itself documents which path ran).
+    // Reactor-loop counters out of the global registry.
     let delta = prio_obs::Registry::global().snapshot().diff(&before);
     let conns_per_s = conns as f64 / (summary.median_ms / 1e3);
     Json::obj(vec![

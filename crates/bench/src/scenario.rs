@@ -8,7 +8,7 @@
 
 use crate::json::Json;
 use crate::stats::Runner;
-use prio_net::{TcpIoMode, TransportKind};
+use prio_net::TransportKind;
 use prio_snip::VerifyMode;
 use std::time::Duration;
 
@@ -31,10 +31,9 @@ pub enum Group {
     /// per-submission path (`batch = 1`) on the same hardware.
     BatchVerify,
     /// Figure-4 companion: connection churn against a raw TCP endpoint,
-    /// sweeping concurrent short-lived client connections × inbound I/O
-    /// mode (thread-per-connection vs. the readiness-driven reactor). Byte
-    /// accounting must be identical across modes; only the wall clock and
-    /// connection rate may differ.
+    /// sweeping concurrent short-lived client connections through its
+    /// readiness-driven reactor. Every delivered payload byte must be
+    /// accounted; the wall clock and connection rate are the result.
     ConnSweep,
     /// Section-7 availability: the full pipeline under seeded
     /// drop/duplicate fault injection, sweeping fault rates × fabric
@@ -179,9 +178,6 @@ pub struct Scenario {
     pub batch: usize,
     /// Verify-pool worker threads per server (`1` = inline verification).
     pub verify_threads: usize,
-    /// Inbound TCP I/O mode (TCP backends and the conn-sweep family only;
-    /// ignored by sim/cluster backends).
-    pub io_mode: TcpIoMode,
     /// Seeded drop probability in permille (robustness family only).
     pub drop_permille: u32,
     /// Seeded duplicate probability in permille (robustness family only).
@@ -228,7 +224,6 @@ impl Scenario {
             ("submissions", Json::Num(self.submissions as f64)),
             ("batch", Json::Num(self.batch as f64)),
             ("threads", Json::Num(self.verify_threads as f64)),
-            ("io_mode", Json::Str(self.io_mode.tag().into())),
             ("drop_permille", Json::Num(self.drop_permille as f64)),
             ("dup_permille", Json::Num(self.dup_permille as f64)),
             ("fault_seed", Json::Num(self.fault_seed as f64)),
@@ -273,7 +268,6 @@ fn base(name: String, group: Group, afe: AfeKind, size: usize) -> Scenario {
         submissions: 4,
         batch: 1024,
         verify_threads: 1,
-        io_mode: TcpIoMode::Threaded,
         drop_permille: 0,
         dup_permille: 0,
         fault_seed: 0,
@@ -348,27 +342,23 @@ pub fn registry(mode: Mode) -> Vec<Scenario> {
     }
 
     // Figure-4 companion: connection churn against one raw TCP endpoint,
-    // concurrent short-lived connections × inbound I/O mode. The reactor
-    // must hold ≥ 1k concurrent connections inside the smoke budget; the
-    // thread-per-connection mode pays one OS thread per connection at the
-    // same point. Byte metrics must be identical across modes.
+    // sweeping the number of concurrent short-lived connections. The
+    // reactor must hold ≥ 1k concurrent connections inside the smoke
+    // budget, and every delivered payload byte must be accounted.
     let conn_counts: &[usize] = if full { &[256, 1024, 2048] } else { &[256, 1024] };
     for &c in conn_counts {
-        for io_mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-            let mut sc = base(
-                format!("fig4/conn_sweep/c={c}/{}", io_mode.tag()),
-                Group::ConnSweep,
-                AfeKind::Sum,
-                8,
-            );
-            sc.servers = 1; // one endpoint under churn; no protocol runs
-            sc.backend = Backend::Deployment(TransportKind::Tcp);
-            sc.io_mode = io_mode;
-            sc.submissions = c; // one 64-byte frame per connection
-            sc.batch = 1;
-            sc.runner = Runner::new(0, 1);
-            out.push(sc);
-        }
+        let mut sc = base(
+            format!("fig4/conn_sweep/c={c}"),
+            Group::ConnSweep,
+            AfeKind::Sum,
+            8,
+        );
+        sc.servers = 1; // one endpoint under churn; no protocol runs
+        sc.backend = Backend::Deployment(TransportKind::Tcp);
+        sc.submissions = c; // one 64-byte frame per connection
+        sc.batch = 1;
+        sc.runner = Runner::new(0, 1);
+        out.push(sc);
     }
 
     // One WAN point: uniform link latency through the fabric.
@@ -800,26 +790,21 @@ mod tests {
     }
 
     #[test]
-    fn conn_sweep_covers_both_io_modes_at_1k() {
-        // Acceptance: every mode carries the c=1024 point for both inbound
-        // I/O modes, and every conn-sweep scenario stays under the
-        // reactor's connection budget (no accept shedding in the bench).
+    fn conn_sweep_reaches_1k_within_reactor_budget() {
+        // Acceptance: every mode carries a c >= 1024 point, and every
+        // conn-sweep scenario stays under the reactor's 4096-connection
+        // budget (no accept shedding in the bench).
         for mode in [Mode::Smoke, Mode::Full] {
-            let scenarios = registry(mode);
-            for io_mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-                assert!(
-                    scenarios.iter().any(|sc| sc.group == Group::ConnSweep
-                        && sc.io_mode == io_mode
-                        && sc.submissions >= 1024),
-                    "{mode:?} lacks a c>=1024 conn-sweep point for {io_mode:?}"
-                );
-            }
-            for sc in scenarios.iter().filter(|sc| sc.group == Group::ConnSweep) {
+            let sweep: Vec<_> = registry(mode)
+                .into_iter()
+                .filter(|sc| sc.group == Group::ConnSweep)
+                .collect();
+            assert!(
+                sweep.iter().any(|sc| sc.submissions >= 1024),
+                "{mode:?} lacks a c>=1024 conn-sweep point"
+            );
+            for sc in &sweep {
                 assert!(sc.submissions <= 4096, "{} exceeds the reactor budget", sc.name);
-                assert_eq!(
-                    sc.params_json().get("io_mode").and_then(Json::as_str),
-                    Some(sc.io_mode.tag())
-                );
             }
         }
     }

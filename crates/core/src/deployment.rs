@@ -19,7 +19,7 @@ use crate::server::{Server, ServerConfig};
 use crate::server_loop::{run_server_loop, ServerLoopOptions};
 use prio_afe::Afe;
 use prio_field::FieldElement;
-use prio_net::{FaultPlan, NetStats, NodeId, RetryPolicy, TcpIoMode, Transport, TransportKind};
+use prio_net::{FaultPlan, NetStats, NodeId, RetryPolicy, Transport, TransportKind};
 use prio_obs::trace::{MergedTrace, TraceRecorder};
 use prio_snip::{HForm, VerifyMode};
 use std::sync::Arc;
@@ -36,11 +36,10 @@ pub struct DeploymentConfig {
     pub h_form: HForm,
     /// Optional uniform link latency (WAN model).
     pub latency: Option<std::time::Duration>,
-    /// Which fabric carries the server-to-server traffic.
+    /// Which fabric carries the server-to-server traffic. On TCP every
+    /// endpoint serves its inbound connections with the `poll(2)` reactor
+    /// (see `prio_net`'s crate docs).
     pub transport: TransportKind,
-    /// How the TCP backend drives inbound connections (`Threaded` readers
-    /// or the poll-based `Reactor`); ignored by the sim fabric.
-    pub io_mode: TcpIoMode,
     /// Worker threads each server devotes to batched SNIP round-1
     /// verification (1 = verify inline on the server thread).
     pub verify_threads: usize,
@@ -74,7 +73,6 @@ impl DeploymentConfig {
             h_form: HForm::PointValue,
             latency: None,
             transport: TransportKind::Sim,
-            io_mode: TcpIoMode::default(),
             verify_threads: 1,
             fault_plan: None,
             fault_servers: false,
@@ -104,12 +102,6 @@ impl DeploymentConfig {
     /// Builder-style: transport backend.
     pub fn with_transport(mut self, transport: TransportKind) -> Self {
         self.transport = transport;
-        self
-    }
-
-    /// Builder-style: TCP inbound I/O mode (no effect on the sim fabric).
-    pub fn with_io_mode(mut self, io_mode: TcpIoMode) -> Self {
-        self.io_mode = io_mode;
         self
     }
 
@@ -226,7 +218,7 @@ impl<F: FieldElement> Deployment<F> {
     {
         assert!(cfg.num_servers >= 2, "Prio needs at least two servers");
         assert!(cfg.verify_threads >= 1, "need at least one verify thread");
-        let net = cfg.transport.build_io(cfg.latency, cfg.io_mode);
+        let net = cfg.transport.build(cfg.latency);
         let mut driver_ep = net.endpoint();
         if let Some(plan) = &cfg.fault_plan {
             driver_ep = plan.wrap(driver_ep);
@@ -484,13 +476,19 @@ mod tests {
 
     #[test]
     fn reactor_end_to_end_over_tcp() {
-        // Same pipeline again, with the servers' inbound side multiplexed
-        // by the poll reactor instead of thread-per-connection readers.
+        // Same pipeline again, checking that the poll reactor is what
+        // carried the inbound side: every one of the three servers accepts
+        // at least the driver's connection. The registry is process-wide
+        // and other tests also dial, so only a lower bound holds.
+        let accepted = || {
+            prio_obs::Registry::global()
+                .snapshot()
+                .counter_sum(prio_obs::names::NET_REACTOR_ACCEPTED)
+        };
+        let before = accepted();
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let afe = SumAfe::new(4);
-        let cfg = DeploymentConfig::new(3)
-            .with_transport(TransportKind::Tcp)
-            .with_io_mode(TcpIoMode::Reactor);
+        let cfg = DeploymentConfig::new(3).with_transport(TransportKind::Tcp);
         let mut deployment: Deployment<Field64> = Deployment::start(afe, cfg);
         let mut client = Client::new(SumAfe::new(4), ClientConfig::new(3));
         let values = [1u64, 2, 3, 4, 5, 15];
@@ -504,6 +502,10 @@ mod tests {
         assert_eq!(report.accepted, 6);
         assert_eq!(report.sigma[0], 30);
         assert!(report.server_bytes_sent.iter().all(|&b| b > 0));
+        assert!(
+            accepted() - before >= 3,
+            "the reactor served fewer than one connection per server"
+        );
     }
 
     #[test]

@@ -58,9 +58,6 @@ pub struct NodeConfig {
     pub h_form: String,
     /// Verify-pool worker threads (`1` = inline verification).
     pub verify_threads: u64,
-    /// TCP inbound I/O mode tag (`threaded` | `reactor`) for the node's
-    /// data-plane fabric.
-    pub io_mode: String,
     /// Fault-injection plan for the node's outbound data plane, in the
     /// `FaultPlan::to_spec` key=value encoding; empty = no injection.
     /// Carried on the wire so a chaos run configures real processes the
@@ -88,7 +85,6 @@ impl Wire for NodeConfig {
         self.verify_mode.encode(buf);
         self.h_form.encode(buf);
         self.verify_threads.encode(buf);
-        self.io_mode.encode(buf);
         self.fault_plan.encode(buf);
         self.batch_deadline_ms.encode(buf);
         self.trace.encode(buf);
@@ -104,7 +100,6 @@ impl Wire for NodeConfig {
             verify_mode: String::decode(buf)?,
             h_form: String::decode(buf)?,
             verify_threads: u64::decode(buf)?,
-            io_mode: String::decode(buf)?,
             fault_plan: String::decode(buf)?,
             batch_deadline_ms: u64::decode(buf)?,
             trace: bool::decode(buf)?,
@@ -506,7 +501,6 @@ mod tests {
             verify_mode: "fixed_point".into(),
             h_form: "point_value".into(),
             verify_threads: 2,
-            io_mode: "reactor".into(),
             fault_plan: "seed=7,drop=50,dup=30,trunc=0,delay=0,delay_ms=0,after=0".into(),
             batch_deadline_ms: 1500,
             trace: true,

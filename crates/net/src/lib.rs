@@ -36,26 +36,24 @@
 //! serialized for real, so the byte counters measure honest wire sizes
 //! rather than in-memory struct sizes.
 //!
-//! # TCP I/O modes
+//! # Inbound TCP I/O
 //!
-//! The TCP backend drives its inbound side in one of two selectable modes
-//! ([`TcpIoMode`]):
+//! Every TCP endpoint serves its inbound side with one readiness-driven
+//! thread (the `reactor` module): the listener and every accepted
+//! connection sit behind a single `poll(2)` loop over non-blocking
+//! sockets, each connection decodes frames incrementally, and a bounded
+//! connection budget sheds floods instead of exhausting the process. That
+//! is the shape the paper's deployment needs — servers fielding
+//! submissions from very many short-lived client connections — and it
+//! delivers into a mailbox with the same byte accounting as the sim
+//! fabric, so everything above the socket is fabric-blind. The `fig4/conn_sweep`
+//! bench group measures its accept rate under connection churn.
 //!
-//! * [`TcpIoMode::Threaded`] (the default) — one blocking reader thread
-//!   per accepted connection. Simple, great latency at small fan-in; costs
-//!   an OS thread + stack per connection, so it stops scaling somewhere in
-//!   the hundreds of concurrent connections.
-//! * [`TcpIoMode::Reactor`] — one thread per *endpoint* multiplexing every
-//!   inbound connection over non-blocking sockets and `poll(2)`, with
-//!   per-connection incremental frame decoding and a bounded connection
-//!   budget (the `reactor` module). The right mode for
-//!   submission-facing servers fielding thousands of short-lived client
-//!   connections — the paper's deployment shape.
+//! # Platforms
 //!
-//! Both modes feed the identical mailbox with identical envelopes and
-//! identical accounting, so everything above the socket — the server loop,
-//! the control plane, the byte metrics — is mode-blind. The
-//! `fig4/conn_sweep` bench group measures the crossover.
+//! The workspace targets unix: the reactor's `poll(2)` binding is
+//! unix-only, and building this crate anywhere else is a compile error
+//! rather than a silently different I/O path.
 //!
 //! `unsafe` is denied crate-wide except for the reactor's ~10-line
 //! `poll(2)` FFI shim, the workspace's only unsafe block (there are no
@@ -64,9 +62,13 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!(
+    "prio_net targets unix only: the TCP reactor drives inbound connections with poll(2)"
+);
+
 pub mod control;
 pub mod faults;
-#[cfg(unix)]
 pub(crate) mod reactor;
 pub mod sim;
 pub mod tcp;
@@ -75,7 +77,7 @@ pub mod wire;
 
 pub use faults::{FaultInjector, FaultKind, FaultPlan, FaultyTransport, RetryPolicy, Retryable};
 pub use sim::{SimEndpoint, SimNetwork};
-pub use tcp::{BindError, TcpEndpoint, TcpIoMode, TcpTransport};
+pub use tcp::{BindError, TcpEndpoint, TcpTransport};
 pub use transport::{
     Endpoint, Envelope, NetStats, NodeId, RecvError, RecvTimeoutError, SendError, Transport,
     TransportKind,

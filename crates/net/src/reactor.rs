@@ -1,11 +1,10 @@
-//! The readiness-driven I/O loop behind [`TcpIoMode::Reactor`]: one thread
-//! multiplexing every inbound connection of an endpoint over `poll(2)`.
+//! The inbound I/O driver of every [`TcpEndpoint`](crate::TcpEndpoint):
+//! one thread multiplexing all of an endpoint's inbound connections over
+//! `poll(2)`.
 //!
-//! The thread-per-connection path (`TcpIoMode::Threaded`) spends an OS
-//! thread, a stack, and two fds per inbound connection — fine for a handful
-//! of servers talking to each other, hopeless for the paper's deployment
-//! story of servers fielding submissions from very many short-lived client
-//! connections. This module replaces all of that with:
+//! The paper's deployment has servers fielding submissions from very many
+//! short-lived client connections, so the inbound side must not spend an
+//! OS thread, a stack and a cloned fd per connection. The driver is:
 //!
 //! * **Non-blocking sockets behind one `poll` loop.** The listener and
 //!   every accepted stream sit in a single pollfd set; the loop wakes on
@@ -13,11 +12,11 @@
 //!   accepts until `WouldBlock`, and drains only the connections the kernel
 //!   reported readable.
 //! * **Per-connection frame state machines.** Each connection owns a
-//!   [`FrameState`] that incrementally decodes the same
-//!   `src (u64 LE) | len (u32 LE) | payload` frames the threaded readers
-//!   decode, so a frame may arrive in any number of partial reads.
-//!   Completed envelopes go into the same mpsc mailbox `run_server_loop`
-//!   already drains — no protocol change anywhere above the socket.
+//!   [`FrameState`] that incrementally decodes the
+//!   `src (u64 LE) | len (u32 LE) | payload` frames of the `tcp` module,
+//!   so a frame may arrive in any number of partial reads. Completed
+//!   envelopes go into the endpoint's mpsc mailbox, which
+//!   `run_server_loop` drains.
 //! * **A bounded connection budget.** At [`CONN_BUDGET`] live inbound
 //!   connections, further accepts are shed immediately (accepted and
 //!   closed, counted under `net_reactor_rejected_total{reason=budget}`)
@@ -30,7 +29,8 @@
 //! The `poll(2)` binding is a thin hand-rolled FFI shim (see [`sys`]) —
 //! the workspace has zero crates.io dependencies, so there is no `libc` or
 //! `mio` to lean on. It is the only unsafe code in the crate, wrapped in a
-//! safe slice-in/slice-out function.
+//! safe slice-in/slice-out function. It is also why the workspace targets
+//! unix only (see the crate docs).
 
 use crate::tcp::{decode_frame_header, FRAME_HEADER_LEN, MAX_FRAME_LEN};
 use crate::transport::{Envelope, FabricMetrics, NodeId};
@@ -149,17 +149,29 @@ impl FrameState {
 }
 
 /// One inbound connection owned by the reactor.
-struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     state: FrameState,
 }
 
 impl Conn {
+    /// A connection awaiting its first frame header.
+    pub(crate) fn new(stream: TcpStream) -> Conn {
+        Conn {
+            stream,
+            state: FrameState::header(),
+        }
+    }
+
     /// Drains readable bytes (up to [`READ_BUDGET`]) through the frame
     /// state machine, handing completed envelopes to `deliver`. Returns
     /// `false` when the connection must be dropped: EOF, I/O error,
     /// corrupt framing, or a dead mailbox.
-    fn drain(&mut self, scratch: &mut [u8], deliver: &mut dyn FnMut(Envelope) -> bool) -> bool {
+    pub(crate) fn drain(
+        &mut self,
+        scratch: &mut [u8],
+        deliver: &mut dyn FnMut(Envelope) -> bool,
+    ) -> bool {
         let mut consumed = 0;
         while consumed < READ_BUDGET {
             let n = match self.stream.read(scratch) {
@@ -250,8 +262,8 @@ impl Conn {
 /// (the endpoint's `close` nudges the listener with a throwaway connection
 /// so the flip is noticed immediately). `live` mirrors the live-connection
 /// count for [`TcpEndpoint::inbound_conns`](crate::TcpEndpoint::inbound_conns);
-/// `received`/`metrics` are the same per-node and process-wide accounting
-/// the threaded readers feed.
+/// `received`/`metrics` are the endpoint's per-node and the process-wide
+/// receive accounting.
 pub(crate) fn run(
     listener: TcpListener,
     tx: Sender<Envelope>,
@@ -268,6 +280,8 @@ pub(crate) fn run(
         return;
     }
     let mut conns: Vec<Conn> = Vec::new();
+    // The pollfd set, rebuilt in place on every wakeup.
+    let mut fds: Vec<sys::PollFd> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut deliver = |env: Envelope| {
         let n = env.payload.len() as u64;
@@ -280,19 +294,16 @@ pub(crate) fn run(
         // Rebuild the pollfd set: listener first, then one entry per
         // connection in `conns` order (the drain phase relies on the
         // `fds[i + 1] ↔ conns[i]` correspondence).
-        let mut fds = Vec::with_capacity(conns.len() + 1);
-        fds.push(sys::PollFd {
-            fd: listener.as_raw_fd(),
-            events: sys::POLLIN,
-            revents: 0,
-        });
-        for conn in &conns {
-            fds.push(sys::PollFd {
-                fd: conn.stream.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-        }
+        fds.clear();
+        fds.extend(
+            std::iter::once(listener.as_raw_fd())
+                .chain(conns.iter().map(|conn| conn.stream.as_raw_fd()))
+                .map(|fd| sys::PollFd {
+                    fd,
+                    events: sys::POLLIN,
+                    revents: 0,
+                }),
+        );
         let rc = sys::poll_fds(&mut fds, POLL_TIMEOUT_MS);
         rm.poll_wakeups.inc();
         if rc < 0 {
@@ -321,10 +332,7 @@ pub(crate) fn run(
                         rm.accepted.inc();
                         rm.conns.add(1);
                         live.fetch_add(1, Ordering::Relaxed);
-                        conns.push(Conn {
-                            stream,
-                            state: FrameState::header(),
-                        });
+                        conns.push(Conn::new(stream));
                     }
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -377,11 +385,7 @@ mod tests {
         // The stream is irrelevant to the state-machine tests; bind a
         // loopback pair just to have a valid object.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        Conn {
-            stream,
-            state: FrameState::header(),
-        }
+        Conn::new(TcpStream::connect(listener.local_addr().unwrap()).unwrap())
     }
 
     fn feed_all(conn: &mut Conn, bytes: &[u8], step: usize) -> (Vec<Envelope>, bool) {

@@ -23,19 +23,18 @@
 //!   is compensated in full: the counters only ever describe
 //!   fully-written frames, and the broken pooled connection is dropped so
 //!   the next send redials (see [`TcpEndpoint::send`]).
-//! * **Inbound I/O modes** — each fabric drives accepted connections in
-//!   one of two [`TcpIoMode`]s: `Threaded` (one blocking reader thread per
-//!   connection, the default) or `Reactor` (one `poll(2)` loop per
-//!   endpoint multiplexing every connection — see the `reactor` module).
-//!   Both deliver identical envelopes into the same mailbox with identical
-//!   accounting.
-//! * **Shutdown** — dropping an endpoint shuts down its connections (both
-//!   directions share the underlying socket, so blocked readers wake with
-//!   EOF), nudges the acceptor/reactor awake with a throwaway connection,
-//!   and joins every helper thread. No threads or sockets outlive the
-//!   endpoint. A closed endpoint's id is *tombstoned* — sends to it report
-//!   [`SendError::Closed`] — but the id can be re-bound or re-registered,
-//!   so a restarted node re-enters the fabric under its old identity.
+//! * **Inbound I/O** — one `poll(2)` reactor thread per endpoint owns the
+//!   listener and every accepted connection, decoding frames incrementally
+//!   into the endpoint's mailbox (see the `reactor` module). Resources grow
+//!   with *live* connections only, up to the reactor's connection budget.
+//! * **Shutdown** — dropping an endpoint shuts down its outbound
+//!   connections (peers' reactors see EOF), nudges its own reactor awake
+//!   with a throwaway connection, and joins the reactor thread, which
+//!   closes every inbound connection on its way out. No threads or
+//!   sockets outlive the endpoint. A closed endpoint's id is *tombstoned*
+//!   — sends to it report [`SendError::Closed`] — but the id can be
+//!   re-bound or re-registered, so a restarted node re-enters the fabric
+//!   under its old identity.
 
 use crate::transport::{
     counter_for, lock, Endpoint, Envelope, FabricMetrics, NetStats, NodeId, RecvError,
@@ -43,10 +42,10 @@ use crate::transport::{
 };
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{IpAddr, Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -55,41 +54,6 @@ use std::time::Duration;
 /// treated as stream corruption and closes the connection — it can never
 /// trigger a matching allocation.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
-
-/// How a [`TcpTransport`] drives the inbound side of its endpoints.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TcpIoMode {
-    /// One blocking reader thread per accepted connection. Lowest latency
-    /// at small fan-in (a handful of servers talking to each other), but
-    /// each connection costs an OS thread + stack + a cloned fd, so it
-    /// degrades in the hundreds of concurrent connections.
-    #[default]
-    Threaded,
-    /// One readiness-driven `poll(2)` loop per endpoint multiplexing every
-    /// inbound connection over non-blocking sockets, with a bounded
-    /// connection budget. Sustains thousands of concurrent short-lived
-    /// connections — the right mode for submission-facing servers.
-    Reactor,
-}
-
-impl TcpIoMode {
-    /// Stable lowercase tag used in configs, JSON, and CLI flags.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            TcpIoMode::Threaded => "threaded",
-            TcpIoMode::Reactor => "reactor",
-        }
-    }
-
-    /// Parses a tag (`threaded` | `reactor`).
-    pub fn from_tag(tag: &str) -> Option<Self> {
-        match tag {
-            "threaded" => Some(TcpIoMode::Threaded),
-            "reactor" => Some(TcpIoMode::Reactor),
-            _ => None,
-        }
-    }
-}
 
 /// Bind attempts before a port collision becomes a [`BindError`].
 const BIND_ATTEMPTS: u32 = 4;
@@ -190,50 +154,6 @@ pub fn decode_frame_header(header: &[u8; FRAME_HEADER_LEN]) -> Option<(NodeId, u
     (len <= MAX_FRAME_LEN).then_some((NodeId(src), len))
 }
 
-/// Fills `buf` from the stream. `Ok(false)` means clean EOF before the
-/// first byte (the peer closed at a frame boundary); a mid-buffer EOF is an
-/// error.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while let Some(rest) = buf.get_mut(filled..) {
-        if rest.is_empty() {
-            break;
-        }
-        match stream.read(rest) {
-            Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "EOF inside a frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame off `stream`. `Ok(None)` is a clean end of stream.
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Envelope>> {
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    if !read_full(stream, &mut header)? {
-        return Ok(None);
-    }
-    let (src, len) = decode_frame_header(&header)
-        .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidData, "frame length too large"))?;
-    // lint:allow(bounded-alloc, len was just checked against MAX_FRAME_LEN by decode_frame_header)
-    let mut payload = vec![0u8; len];
-    if len > 0 && !read_full(stream, &mut payload)? {
-        return Err(std::io::Error::new(
-            ErrorKind::UnexpectedEof,
-            "EOF inside a frame",
-        ));
-    }
-    Ok(Some(Envelope { src, payload }))
-}
-
 /// What an id in the fabric's address registry currently names. The
 /// distinction carries the restart semantics: a [`Slot::Local`] id is
 /// owned by a live endpoint of *this* fabric and cannot be taken, a
@@ -256,7 +176,6 @@ struct Inner {
     counters: TrafficCounters,
     metrics: FabricMetrics,
     latency: Option<Duration>,
-    io_mode: TcpIoMode,
     next_id: AtomicU64,
 }
 
@@ -282,33 +201,21 @@ impl TcpTransport {
 
     /// Creates a fabric that delays every send by `latency` on top of the
     /// real loopback cost, modelling a uniform WAN link like the sim
-    /// fabric does. Inbound I/O runs in the default [`TcpIoMode`].
+    /// fabric does.
     pub fn with_latency(latency: Option<Duration>) -> Self {
-        Self::with_options(latency, TcpIoMode::default())
-    }
-
-    /// Fully explicit construction: optional uniform link latency *and*
-    /// the inbound I/O mode every endpoint of this fabric will use.
-    pub fn with_options(latency: Option<Duration>, io_mode: TcpIoMode) -> Self {
         TcpTransport {
             inner: Arc::new(Inner {
                 addrs: Mutex::new(HashMap::new()),
                 counters: TrafficCounters::default(),
                 metrics: FabricMetrics::resolve(),
                 latency,
-                io_mode,
                 next_id: AtomicU64::new(0),
             }),
         }
     }
 
-    /// The inbound I/O mode this fabric's endpoints run in.
-    pub fn io_mode(&self) -> TcpIoMode {
-        self.inner.io_mode
-    }
-
     /// Registers a new endpoint: binds an OS-assigned localhost port and
-    /// starts its acceptor thread.
+    /// starts its reactor thread.
     ///
     /// # Panics
     /// Panics if the OS refuses to bind a loopback listener even after the
@@ -360,59 +267,14 @@ impl TcpTransport {
         let live_inbound = Arc::new(AtomicU64::new(0));
         let received = counter_for(&self.inner.counters.received, id);
 
-        let driver = match self.inner.io_mode {
-            TcpIoMode::Threaded => {
-                let slots: Arc<Mutex<Vec<InboundSlot>>> = Arc::new(Mutex::new(Vec::new()));
-                let acceptor = {
-                    let closed = closed.clone();
-                    let slots = slots.clone();
-                    let live = live_inbound.clone();
-                    let received = received.clone();
-                    let metrics = self.inner.metrics.clone();
-                    std::thread::spawn(move || {
-                        accept_loop(listener, tx, closed, slots, live, received, metrics)
-                    })
-                };
-                IoDriver::Threaded {
-                    slots,
-                    acceptor: Some(acceptor),
-                }
-            }
-            #[cfg(unix)]
-            TcpIoMode::Reactor => {
-                let handle = {
-                    let closed = closed.clone();
-                    let live = live_inbound.clone();
-                    let received = received.clone();
-                    let metrics = self.inner.metrics.clone();
-                    std::thread::spawn(move || {
-                        crate::reactor::run(listener, tx, closed, live, received, metrics)
-                    })
-                };
-                IoDriver::Reactor {
-                    handle: Some(handle),
-                }
-            }
-            #[cfg(not(unix))]
-            TcpIoMode::Reactor => {
-                // No poll(2) off unix: fall back to the threaded driver so
-                // the mode selector degrades gracefully instead of failing.
-                let slots: Arc<Mutex<Vec<InboundSlot>>> = Arc::new(Mutex::new(Vec::new()));
-                let acceptor = {
-                    let closed = closed.clone();
-                    let slots = slots.clone();
-                    let live = live_inbound.clone();
-                    let received = received.clone();
-                    let metrics = self.inner.metrics.clone();
-                    std::thread::spawn(move || {
-                        accept_loop(listener, tx, closed, slots, live, received, metrics)
-                    })
-                };
-                IoDriver::Threaded {
-                    slots,
-                    acceptor: Some(acceptor),
-                }
-            }
+        let reactor = {
+            let closed = closed.clone();
+            let live = live_inbound.clone();
+            let received = received.clone();
+            let metrics = self.inner.metrics.clone();
+            std::thread::spawn(move || {
+                crate::reactor::run(listener, tx, closed, live, received, metrics)
+            })
         };
 
         Ok(Endpoint::Tcp(TcpEndpoint {
@@ -426,7 +288,7 @@ impl TcpTransport {
             msgs: counter_for(&self.inner.counters.msgs, id),
             closed,
             live_inbound,
-            driver,
+            reactor: Some(reactor),
         }))
     }
 
@@ -462,9 +324,9 @@ impl TcpTransport {
     /// `write_all` fails at any point — even after the kernel accepted a
     /// partial frame — is compensated in full, so partial frames (which
     /// the peer's decoder discards as a truncated stream) never inflate
-    /// the ledger. `bytes_received` is counted by the destination's reader
-    /// (thread or reactor) as it drains the socket, so it is *eventually
-    /// consistent*: a snapshot can momentarily trail the sender's view by
+    /// the ledger. `bytes_received` is counted by the destination's
+    /// reactor as it drains the socket, so it is *eventually consistent*:
+    /// a snapshot can momentarily trail the sender's view by
     /// frames still in the kernel buffer.
     pub fn stats(&self) -> NetStats {
         self.inner.counters.stats()
@@ -501,114 +363,6 @@ fn bump_next_id(next_id: &AtomicU64, id: NodeId) {
     next_id.fetch_max(floor, Ordering::Relaxed);
 }
 
-/// One accepted connection in [`TcpIoMode::Threaded`]: the cloned stream
-/// shutdown reaches, the reader thread's handle, and the flag the reader
-/// raises as it exits so [`sweep_finished`] can reap it without blocking.
-struct InboundSlot {
-    stream: TcpStream,
-    done: Arc<AtomicBool>,
-    reader: Option<JoinHandle<()>>,
-}
-
-/// Reaps every slot whose reader has finished: joins the thread (instant —
-/// the done flag is its last act) and drops the cloned stream, so a
-/// long-lived endpoint holds resources proportional to *live* connections,
-/// not to every connection it ever accepted.
-fn sweep_finished(slots: &mut Vec<InboundSlot>, live: &AtomicU64) {
-    slots.retain_mut(|slot| {
-        if !slot.done.load(Ordering::SeqCst) {
-            return true;
-        }
-        if let Some(reader) = slot.reader.take() {
-            let _ = reader.join();
-        }
-        live.fetch_sub(1, Ordering::Relaxed);
-        false
-    });
-}
-
-/// Accepts inbound connections and spawns one reader thread per stream
-/// ([`TcpIoMode::Threaded`]). Finished readers are swept before each new
-/// registration, bounding resource growth under connection churn.
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<Envelope>,
-    closed: Arc<AtomicBool>,
-    slots: Arc<Mutex<Vec<InboundSlot>>>,
-    live: Arc<AtomicU64>,
-    received: Arc<AtomicU64>,
-    metrics: FabricMetrics,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if closed.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent errors (e.g. EMFILE under fd exhaustion) must
-                // not busy-spin the acceptor at 100% CPU.
-                std::thread::sleep(Duration::from_millis(1));
-                continue;
-            }
-        };
-        // Registration and the closed check happen under the `slots` lock
-        // so shutdown can never miss a stream: either we register first
-        // (and shutdown's drain reaches us) or shutdown flips the flag
-        // first (and we bail before spawning a reader).
-        {
-            let mut slots = lock(&slots);
-            if closed.load(Ordering::SeqCst) {
-                return;
-            }
-            sweep_finished(&mut slots, &live);
-            let _ = stream.set_nodelay(true);
-            let clone = match stream.try_clone() {
-                Ok(clone) => clone,
-                Err(_) => continue,
-            };
-            let done = Arc::new(AtomicBool::new(false));
-            let reader = {
-                let tx = tx.clone();
-                let received = received.clone();
-                let metrics = metrics.clone();
-                let done = done.clone();
-                let mut stream = stream;
-                std::thread::spawn(move || {
-                    while let Ok(Some(env)) = read_frame(&mut stream) {
-                        received.fetch_add(env.payload.len() as u64, Ordering::Relaxed);
-                        metrics.received(env.payload.len() as u64);
-                        if tx.send(env).is_err() {
-                            break;
-                        }
-                    }
-                    done.store(true, Ordering::SeqCst);
-                })
-            };
-            slots.push(InboundSlot {
-                stream: clone,
-                done,
-                reader: Some(reader),
-            });
-            live.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The machinery driving an endpoint's inbound side — one variant per
-/// [`TcpIoMode`].
-enum IoDriver {
-    /// Thread-per-connection: the acceptor thread plus one slot (cloned
-    /// stream + reader handle) per live inbound connection.
-    Threaded {
-        slots: Arc<Mutex<Vec<InboundSlot>>>,
-        acceptor: Option<JoinHandle<()>>,
-    },
-    /// One readiness-driven poll loop owning the listener and every
-    /// inbound stream (see the `reactor` module).
-    Reactor { handle: Option<JoinHandle<()>> },
-}
-
 /// One node's handle on the TCP fabric: a listener-backed mailbox, a pool
 /// of outbound connections, and byte counters.
 pub struct TcpEndpoint {
@@ -625,9 +379,11 @@ pub struct TcpEndpoint {
     received: Arc<AtomicU64>,
     msgs: Arc<AtomicU64>,
     closed: Arc<AtomicBool>,
-    /// Live inbound connections (shared with the driver's accept path).
+    /// Live inbound connections (maintained by the reactor).
     live_inbound: Arc<AtomicU64>,
-    driver: IoDriver,
+    /// The reactor thread serving every inbound connection; taken (and
+    /// joined) by [`TcpEndpoint::close`].
+    reactor: Option<JoinHandle<()>>,
 }
 
 impl TcpEndpoint {
@@ -740,60 +496,32 @@ impl TcpEndpoint {
     }
 
     /// Live inbound connections this endpoint currently holds resources
-    /// for. In `Threaded` mode this first reaps finished readers (the same
-    /// sweep the acceptor runs before each registration), so the count is
-    /// deterministic for churn tests; in `Reactor` mode it reads the
-    /// loop's live counter directly.
+    /// for: the reactor's live-connection count, which drops as soon as
+    /// the loop has seen a peer's EOF and closed its socket.
     pub fn inbound_conns(&self) -> u64 {
-        if let IoDriver::Threaded { slots, .. } = &self.driver {
-            sweep_finished(&mut lock(slots), &self.live_inbound);
-        }
         self.live_inbound.load(Ordering::Relaxed)
     }
 
     /// Tears the endpoint down: deregisters its address, closes every
-    /// connection, and joins the I/O driver's threads (acceptor + readers,
-    /// or the reactor loop). Idempotent; also runs on drop. Traffic
-    /// counters survive in the fabric, and the tombstoned id can be
-    /// re-bound by a restarted node.
+    /// connection, and joins the reactor thread. Idempotent; also runs on
+    /// drop. Traffic counters survive in the fabric, and the tombstoned id
+    /// can be re-bound by a restarted node.
     pub fn close(&mut self) {
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
         lock(&self.net.inner.addrs).insert(self.id, Slot::Tombstone);
-        // EOF both directions of every outbound connection we own.
-        // Shutdown acts on the socket itself (clones share it), so reader
-        // threads blocked in `read` — ours and our peers' — wake
-        // immediately.
+        // EOF both directions of every outbound connection we own, so the
+        // peers' reactors drop their end promptly.
         for (_, (_, conn)) in lock(&self.conns).drain() {
             let _ = conn.shutdown(Shutdown::Both);
         }
-        match &mut self.driver {
-            IoDriver::Threaded { slots, acceptor } => {
-                for slot in lock(slots).iter() {
-                    let _ = slot.stream.shutdown(Shutdown::Both);
-                }
-                // Nudge the acceptor out of `accept` with a throwaway
-                // connection; it sees the closed flag and exits.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(acceptor) = acceptor.take() {
-                    let _ = acceptor.join();
-                }
-                for mut slot in lock(slots).drain(..) {
-                    if let Some(reader) = slot.reader.take() {
-                        let _ = reader.join();
-                    }
-                    self.live_inbound.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            IoDriver::Reactor { handle } => {
-                // Same nudge: the listener becomes readable, poll returns,
-                // the loop notices the flag and tears its connections down.
-                let _ = TcpStream::connect(self.addr);
-                if let Some(handle) = handle.take() {
-                    let _ = handle.join();
-                }
-            }
+        // Nudge the reactor with a throwaway connection: the listener
+        // becomes readable, poll returns, and the loop notices the closed
+        // flag and tears its inbound connections down.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(reactor) = self.reactor.take() {
+            let _ = reactor.join();
         }
     }
 }
@@ -808,35 +536,48 @@ impl Drop for TcpEndpoint {
 mod tests {
     use super::*;
 
+    /// Writes `bytes` into a fresh loopback connection, closes the sending
+    /// side, and drains the accepted end through the reactor's per-connection
+    /// decoder. Returns the delivered envelopes and whether the reactor would
+    /// keep the connection. The accepted stream stays blocking, so the drain
+    /// reads straight through to the peer's EOF.
+    fn drain_socket_pair(bytes: &[u8]) -> (Vec<Envelope>, bool) {
+        let listener = TcpListener::bind(loopback_ephemeral()).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        client.write_all(bytes).unwrap();
+        drop(client);
+        let mut conn = crate::reactor::Conn::new(server);
+        let mut delivered = Vec::new();
+        let keep = conn.drain(&mut [0u8; 64], &mut |env| {
+            delivered.push(env);
+            true
+        });
+        (delivered, keep)
+    }
+
     #[test]
     fn frame_roundtrip_via_socket_pair() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
-        client.write_all(&encode_frame(NodeId(7), b"payload").unwrap()).unwrap();
-        client.write_all(&encode_frame(NodeId(9), &[]).unwrap()).unwrap();
-        let env = read_frame(&mut server).unwrap().unwrap();
-        assert_eq!(env.src, NodeId(7));
-        assert_eq!(env.payload, b"payload");
-        let env = read_frame(&mut server).unwrap().unwrap();
-        assert_eq!(env.src, NodeId(9));
-        assert!(env.payload.is_empty());
-        // Clean EOF at a frame boundary.
-        drop(client);
-        assert!(read_frame(&mut server).unwrap().is_none());
+        let mut wire = encode_frame(NodeId(7), b"payload").unwrap();
+        wire.extend_from_slice(&encode_frame(NodeId(9), &[]).unwrap());
+        let (envs, keep) = drain_socket_pair(&wire);
+        assert_eq!(envs.len(), 2);
+        assert_eq!(envs[0].src, NodeId(7));
+        assert_eq!(envs[0].payload, b"payload");
+        assert_eq!(envs[1].src, NodeId(9));
+        assert!(envs[1].payload.is_empty());
+        // Clean EOF at a frame boundary: both frames arrive, then the
+        // connection is dropped.
+        assert!(!keep);
     }
 
     #[test]
     fn truncated_frame_is_an_error_not_a_hang() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let mut client = TcpStream::connect(addr).unwrap();
-        let (mut server, _) = listener.accept().unwrap();
         let frame = encode_frame(NodeId(1), &[1, 2, 3, 4]).unwrap();
-        client.write_all(&frame[..frame.len() - 2]).unwrap();
-        drop(client); // EOF mid-frame
-        assert!(read_frame(&mut server).is_err());
+        // EOF two bytes short of the frame's end.
+        let (envs, keep) = drain_socket_pair(&frame[..frame.len() - 2]);
+        assert!(envs.is_empty(), "a partial frame must never be delivered");
+        assert!(!keep);
     }
 
     #[test]
@@ -860,7 +601,7 @@ mod tests {
         assert_eq!(env.payload, vec![9; 10]);
         assert_eq!(a.bytes_sent(), 3);
         assert_eq!(b.bytes_sent(), 10);
-        // Receive counters are written by reader threads, which run ahead
+        // Receive counters are written by the reactor, which runs ahead
         // of recv(): after both recv calls they must have settled.
         assert_eq!(a.bytes_received(), 10);
         assert_eq!(b.bytes_received(), 3);
@@ -924,33 +665,30 @@ mod tests {
     fn closed_reactor_endpoint_reports_closed_not_timeout() {
         // The two RecvTimeoutError flavours carry different diagnoses: a
         // deadline expiry means "the peer is slow", a closed fabric means
-        // "stop waiting, nothing will ever arrive". A reactor-mode
-        // endpoint whose I/O driver has been torn down must report the
-        // latter — immediately, not after sitting out the full deadline.
-        for io_mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-            let net = TcpTransport::with_options(None, io_mode);
-            let crate::Endpoint::Tcp(mut ep) = net.endpoint() else {
-                panic!("tcp fabric must hand out tcp endpoints");
-            };
-            // Alive: a short wait is a deadline expiry.
-            assert!(matches!(
-                ep.recv_timeout(Duration::from_millis(10)),
-                Err(RecvTimeoutError::Timeout)
-            ));
-            ep.close();
-            let start = std::time::Instant::now();
-            assert!(
-                matches!(
-                    ep.recv_timeout(Duration::from_secs(30)),
-                    Err(RecvTimeoutError::Closed)
-                ),
-                "{io_mode:?}: a killed endpoint must report the fabric closed"
-            );
-            assert!(
-                start.elapsed() < Duration::from_secs(5),
-                "{io_mode:?}: closed must surface promptly, not at the deadline"
-            );
-        }
+        // "stop waiting, nothing will ever arrive". An endpoint whose
+        // reactor has been torn down must report the latter — immediately, not after sitting out the full deadline.
+        let net = TcpTransport::new();
+        let crate::Endpoint::Tcp(mut ep) = net.endpoint() else {
+            panic!("tcp fabric must hand out tcp endpoints");
+        };
+        // Alive: a short wait is a deadline expiry.
+        assert!(matches!(
+            ep.recv_timeout(Duration::from_millis(10)),
+            Err(RecvTimeoutError::Timeout)
+        ));
+        ep.close();
+        let start = std::time::Instant::now();
+        assert!(
+            matches!(
+                ep.recv_timeout(Duration::from_secs(30)),
+                Err(RecvTimeoutError::Closed)
+            ),
+            "a killed endpoint must report the fabric closed"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "closed must surface promptly, not at the deadline"
+        );
     }
 
     #[test]
@@ -1035,37 +773,34 @@ mod tests {
 
     #[test]
     fn shutdown_joins_all_threads_and_closes_sockets() {
-        for io_mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-            let net = TcpTransport::with_options(None, io_mode);
-            let mut eps: Vec<_> = (0..4).map(|_| net.endpoint()).collect();
-            // Full mesh of chatter so every endpoint has live inbound and
-            // outbound connections.
-            let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
-            for ep in &eps {
-                for &dst in &ids {
-                    if dst != ep.id() {
-                        ep.send(dst, vec![0u8; 8]).unwrap();
-                    }
+        let net = TcpTransport::new();
+        let mut eps: Vec<_> = (0..4).map(|_| net.endpoint()).collect();
+        // Full mesh of chatter so every endpoint has live inbound and
+        // outbound connections.
+        let ids: Vec<_> = eps.iter().map(|e| e.id()).collect();
+        for ep in &eps {
+            for &dst in &ids {
+                if dst != ep.id() {
+                    ep.send(dst, vec![0u8; 8]).unwrap();
                 }
             }
-            for ep in &eps {
-                for _ in 0..3 {
-                    ep.recv().unwrap();
-                }
-            }
-            // Dropping every endpoint must return (joins the acceptors +
-            // readers, or the reactor loops) rather than deadlock, and
-            // stats survive the teardown.
-            eps.clear();
-            let stats = net.stats();
-            assert_eq!(stats.total_msgs(), 12, "{io_mode:?}");
-            assert_eq!(stats.total_sent(), 12 * 8, "{io_mode:?}");
         }
+        for ep in &eps {
+            for _ in 0..3 {
+                ep.recv().unwrap();
+            }
+        }
+        // Dropping every endpoint must return (joins the reactor loops)
+        // rather than deadlock, and stats survive the teardown.
+        eps.clear();
+        let stats = net.stats();
+        assert_eq!(stats.total_msgs(), 12);
+        assert_eq!(stats.total_sent(), 12 * 8);
     }
 
     #[test]
     fn reactor_mode_send_recv_accounting_and_ordering() {
-        let net = TcpTransport::with_options(None, TcpIoMode::Reactor);
+        let net = TcpTransport::new();
         let a = net.endpoint();
         let b = net.endpoint();
         a.send(b.id(), vec![1, 2, 3]).unwrap();
@@ -1087,49 +822,38 @@ mod tests {
     }
 
     #[test]
-    fn io_mode_tags_roundtrip() {
-        for mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-            assert_eq!(TcpIoMode::from_tag(mode.tag()), Some(mode));
-        }
-        assert_eq!(TcpIoMode::from_tag("fiber"), None);
-        assert_eq!(TcpIoMode::default(), TcpIoMode::Threaded);
-    }
-
-    #[test]
     fn connection_churn_holds_live_resources_only() {
         // The regression for the reader/fd leak: an endpoint surviving N
         // short-lived inbound connections must hold O(live) resources, not
-        // O(N). Exercised in both I/O modes.
+        // O(N).
         const CHURN: usize = 300;
-        for io_mode in [TcpIoMode::Threaded, TcpIoMode::Reactor] {
-            let net = TcpTransport::with_options(None, io_mode);
-            let Endpoint::Tcp(ep) = net.try_endpoint_with_id(NodeId(0)).unwrap() else {
-                unreachable!()
-            };
-            let addr = ep.local_addr();
-            for i in 0..CHURN {
-                let mut client = TcpStream::connect(addr).unwrap();
-                client
-                    .write_all(&encode_frame(NodeId(1000 + i), &[i as u8]).unwrap())
-                    .unwrap();
-                let env = ep.recv().unwrap();
-                assert_eq!(env.src, NodeId(1000 + i), "{io_mode:?}");
-                drop(client);
+        let net = TcpTransport::new();
+        let Endpoint::Tcp(ep) = net.try_endpoint_with_id(NodeId(0)).unwrap() else {
+            unreachable!()
+        };
+        let addr = ep.local_addr();
+        for i in 0..CHURN {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client
+                .write_all(&encode_frame(NodeId(1000 + i), &[i as u8]).unwrap())
+                .unwrap();
+            let env = ep.recv().unwrap();
+            assert_eq!(env.src, NodeId(1000 + i));
+            drop(client);
+        }
+        // The reactor's EOF handling trails the client's drop by a
+        // scheduling beat; poll until the count settles.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let live = ep.inbound_conns();
+            if live <= 4 {
+                break;
             }
-            // Reader exit / reactor EOF handling trails the client's drop
-            // by a scheduling beat; poll until the count settles.
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            loop {
-                let live = ep.inbound_conns();
-                if live <= 4 {
-                    break;
-                }
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "{io_mode:?}: still holding {live} of {CHURN} churned connections"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "still holding {live} of {CHURN} churned connections"
+            );
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 

@@ -208,19 +208,11 @@ impl TransportKind {
         }
     }
 
-    /// Builds a fabric of this kind with an optional uniform link latency,
-    /// in the default TCP I/O mode.
+    /// Builds a fabric of this kind with an optional uniform link latency.
     pub fn build(self, latency: Option<Duration>) -> Arc<dyn Transport> {
-        self.build_io(latency, crate::TcpIoMode::default())
-    }
-
-    /// Builds a fabric of this kind with an optional uniform link latency
-    /// and an explicit inbound I/O mode for the TCP backend (the sim
-    /// fabric has no sockets, so `io_mode` is irrelevant to it).
-    pub fn build_io(self, latency: Option<Duration>, io_mode: crate::TcpIoMode) -> Arc<dyn Transport> {
         match self {
             TransportKind::Sim => Arc::new(crate::SimNetwork::with_latency(latency)),
-            TransportKind::Tcp => Arc::new(crate::TcpTransport::with_options(latency, io_mode)),
+            TransportKind::Tcp => Arc::new(crate::TcpTransport::with_latency(latency)),
         }
     }
 }

@@ -156,7 +156,7 @@ pub mod names {
     /// Retries taken by a `RetryPolicy`, labelled `op = <operation>`.
     pub const RETRY_ATTEMPTS: &str = "retry_attempts_total";
 
-    /// Live inbound connections held by reactor-mode endpoints (gauge).
+    /// Live inbound connections held by TCP endpoints' reactors (gauge).
     pub const NET_REACTOR_CONNS: &str = "net_reactor_conns";
     /// Inbound connections a reactor has accepted.
     pub const NET_REACTOR_ACCEPTED: &str = "net_reactor_accepted_total";

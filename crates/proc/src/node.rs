@@ -34,7 +34,7 @@ use prio_afe::Afe;
 use prio_core::{run_server_loop, FramePolicy, Server, ServerConfig, ServerLoopOptions};
 use prio_field::{Field128, Field64, FieldElement};
 use prio_net::control::{read_ctrl, write_ctrl, CtrlMsg, NodeConfig, NodeStats};
-use prio_net::{FaultPlan, NodeId, RetryPolicy, TcpIoMode, TcpTransport};
+use prio_net::{FaultPlan, NodeId, RetryPolicy, TcpTransport};
 use prio_obs::trace::NodeTrace;
 use prio_obs::{Obs, Registry, TraceRecorder};
 use prio_snip::{HForm, VerifyMode};
@@ -80,9 +80,6 @@ pub fn run(cfg: &NodeConfig, opts: NodeOptions) -> i32 {
     }
     if cfg.verify_threads == 0 {
         return fail_startup("need at least one verify thread");
-    }
-    if TcpIoMode::from_tag(&cfg.io_mode).is_none() {
-        return fail_startup(&format!("unknown io mode '{}'", cfg.io_mode));
     }
     if !cfg.fault_plan.is_empty() {
         if let Err(e) = FaultPlan::from_spec(&cfg.fault_plan) {
@@ -150,9 +147,6 @@ fn session<F: FieldElement, A: Afe<F> + Send + Sync + 'static>(
 ) -> i32 {
     let index = cfg.index as usize;
     let num_servers = cfg.num_servers as usize;
-    // The tag was validated in `run`; an unknown value cannot reach here,
-    // but degrade to the default rather than trusting that invariant.
-    let io_mode = TcpIoMode::from_tag(&cfg.io_mode).unwrap_or_default();
     // Validated in `run`; degrade an unparsable (or noop) plan to "no
     // faults" rather than trusting that invariant.
     let fault_plan = if cfg.fault_plan.is_empty() {
@@ -162,7 +156,7 @@ fn session<F: FieldElement, A: Afe<F> + Send + Sync + 'static>(
             .ok()
             .filter(|p| !p.is_noop())
     };
-    let net = TcpTransport::with_options(None, io_mode);
+    let net = TcpTransport::new();
     let data_ep = match net.try_endpoint_with_id(NodeId(index)) {
         Ok(ep) => ep,
         Err(e) => return fail_startup(&format!("data-plane bind failed: {e}")),

@@ -24,7 +24,7 @@
 use crate::spec::{h_form_tag, verify_mode_tag, AfeSpec, FieldSpec};
 use prio_net::control::{read_ctrl, write_ctrl, CtrlMsg, NodeConfig, NodeStats};
 use prio_net::wire::Wire;
-use prio_net::{FaultPlan, TcpIoMode};
+use prio_net::FaultPlan;
 use prio_snip::{HForm, VerifyMode};
 use std::io::{BufRead, BufReader, ErrorKind, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -48,8 +48,6 @@ pub struct ProcConfig {
     pub h_form: HForm,
     /// Verify-pool threads per node.
     pub verify_threads: usize,
-    /// Inbound TCP I/O mode for every node's data plane.
-    pub io_mode: TcpIoMode,
     /// Submissions the driver encodes.
     pub submissions: usize,
     /// Tampered fraction in permille (0..=1000).
@@ -91,7 +89,6 @@ impl ProcConfig {
             verify_mode: VerifyMode::FixedPoint,
             h_form: HForm::PointValue,
             verify_threads: 1,
-            io_mode: TcpIoMode::default(),
             submissions,
             tamper_permille: 0,
             batch: submissions.max(1),
@@ -168,12 +165,6 @@ impl ProcConfig {
     /// Builder-style: verification strategy.
     pub fn with_verify_mode(mut self, mode: VerifyMode) -> Self {
         self.verify_mode = mode;
-        self
-    }
-
-    /// Builder-style: inbound TCP I/O mode for the nodes' data planes.
-    pub fn with_io_mode(mut self, io_mode: TcpIoMode) -> Self {
-        self.io_mode = io_mode;
         self
     }
 }
@@ -448,7 +439,6 @@ fn spawn_node(node_bin: &PathBuf, cfg: &ProcConfig, index: usize) -> Result<Node
         verify_mode: verify_mode_tag(cfg.verify_mode).into(),
         h_form: h_form_tag(cfg.h_form).into(),
         verify_threads: cfg.verify_threads as u64,
-        io_mode: cfg.io_mode.tag().into(),
         fault_plan: cfg.fault_plan.as_ref().map(FaultPlan::to_spec).unwrap_or_default(),
         batch_deadline_ms: cfg
             .batch_deadline

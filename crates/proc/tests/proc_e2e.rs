@@ -218,7 +218,6 @@ fn bad_config_is_a_handshake_error() {
         verify_mode: "fixed_point".into(),
         h_form: "point_value".into(),
         verify_threads: 1,
-        io_mode: "threaded".into(),
         fault_plan: String::new(),
         batch_deadline_ms: 0,
         trace: false,

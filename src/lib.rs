@@ -16,7 +16,7 @@
 //! | `prio_circuit` | Arithmetic circuits (`CircuitBuilder`) and validation gadgets for AFE `Valid()` predicates |
 //! | `prio_afe` | Affine-aggregatable encodings: sum/mean, boolean, frequency, min/max, variance, linear regression, R², sets, sketches, most-popular |
 //! | `prio_snip` | Secret-shared non-interactive proofs: prover, two-round verifier, Beaver triples, MPC helpers |
-//! | `prio_net` | Pluggable transports (in-process sim fabric + localhost TCP) with byte accounting; length-delimited wire encoding |
+//! | `prio_net` | Pluggable transports (in-process sim fabric + localhost TCP served by a `poll(2)` reactor) with byte accounting; length-delimited wire encoding |
 //! | `prio_core` | The pipeline: `Client`, `Server`, the shared server loop + batch driver, single-threaded `Cluster` simulation, threaded `Deployment` |
 //! | `prio_baselines` | The paper's comparison points: no-privacy, no-robustness, NIZK (Pedersen/Chaum–Pedersen), SNARK cost model |
 //! | `prio_proc` | Multi-process deployment: `prio-node` + `prio-submit` binaries, control-plane protocol, `ProcDeployment` orchestrator |
@@ -57,6 +57,13 @@
 //! and runs with no network access. Bare `cargo build`/`cargo test` cover
 //! the whole workspace because the root manifest lists every member in
 //! `default-members`.
+//!
+//! # Platforms
+//!
+//! The workspace targets unix; CI builds and tests it on Linux only.
+//! `prio_net`'s TCP endpoints serve inbound connections with a hand-rolled
+//! `poll(2)` reactor, so building `prio_net` (and every crate that depends
+//! on it) anywhere else stops at a `compile_error!` that says so.
 //!
 //! # Benchmarks
 //!

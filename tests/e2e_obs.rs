@@ -111,12 +111,12 @@ fn garbage_flood_across_processes_is_fully_accounted() {
         attacker.write_all(&frame).expect("tail frame");
     }
     attacker.flush().expect("flush");
-    drop(attacker); // frame-boundary close: clean EOF at the reader
+    drop(attacker); // frame-boundary close: clean EOF at the decoder
 
     // Live scrape until the transport has taken delivery of all 10 000
     // frames — GetMetrics is valid long before any batch runs, which is
     // exactly what makes it a monitoring primitive. Polling the *receive*
-    // counter (incremented at the reader thread) rather than the drop
+    // counter (incremented by the node's reactor) rather than the drop
     // counter (incremented by the not-yet-started server loop) also
     // removes any cross-connection ordering race with the driver traffic.
     let deadline = Instant::now() + Duration::from_secs(30);

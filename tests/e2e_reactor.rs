@@ -1,83 +1,30 @@
-//! End-to-end acceptance for the readiness-driven TCP reactor
-//! ([`prio_net::TcpIoMode::Reactor`]).
+//! End-to-end acceptance for the readiness-driven TCP reactor that serves
+//! every inbound connection of a `prio_net` TCP endpoint.
 //!
-//! Two scenarios:
-//!
-//! 1. **Cross-mode parity** — the same seeded workload over localhost TCP
-//!    must produce bit-identical aggregates and byte accounting whether
-//!    inbound I/O runs thread-per-connection or through the reactor: the
-//!    I/O mode is an implementation detail, not a protocol change.
-//! 2. **Flood accounting under the reactor** — the `tests/e2e_obs.rs`
-//!    garbage-frame flood, replayed against a multi-process deployment
-//!    whose nodes run reactor-mode data planes: all 10 000 frames must be
-//!    dropped with exact per-reason counts while the honest batch sails
-//!    through.
+//! The `tests/e2e_obs.rs` garbage-frame flood, replayed against a
+//! multi-process deployment whose nodes' data planes run on the reactor:
+//! all 10 000 frames must be dropped with exact per-reason counts while
+//! the honest batch sails through.
 
-use prio_afe::sum::SumAfe;
-use prio_core::{Client, ClientConfig, Deployment, DeploymentConfig, DeploymentReport};
-use prio_field::Field64;
 use prio_net::tcp::encode_frame;
-use prio_net::{NodeId, TcpIoMode, TransportKind};
+use prio_net::NodeId;
 use prio_obs::names;
 use prio_proc::{AfeSpec, FieldSpec, ProcConfig, ProcDeployment};
-use rand::SeedableRng;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// One full seeded pipeline over TCP under the given inbound I/O mode:
-/// three servers, six honest submissions, aggregate checked.
-fn run_tcp(io_mode: TcpIoMode) -> DeploymentReport {
-    const S: usize = 3;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let afe = SumAfe::new(8);
-    let cfg = DeploymentConfig::new(S)
-        .with_transport(TransportKind::Tcp)
-        .with_io_mode(io_mode);
-    let mut deployment: Deployment<Field64> = Deployment::start(afe.clone(), cfg);
-    let mut client = Client::new(afe, ClientConfig::new(S));
-    let subs: Vec<_> = [1u64, 2, 3, 4, 5, 15]
-        .iter()
-        .map(|v| client.submit(v, &mut rng).unwrap())
-        .collect();
-    assert!(deployment.run_batch(&subs).iter().all(|&d| d));
-    let report = deployment.finish();
-    assert_eq!(report.accepted, 6);
-    assert_eq!(report.sigma[0], 30);
-    report
-}
-
-/// The reactor and the thread-per-connection driver deliver the same
-/// frames to the same mailbox: every aggregate and every fig6 byte metric
-/// must be bit-identical between the modes for the same seed.
-#[test]
-fn reactor_and_threaded_modes_report_identical_traffic() {
-    let threaded = run_tcp(TcpIoMode::Threaded);
-    let reactor = run_tcp(TcpIoMode::Reactor);
-    assert_eq!(threaded.sigma, reactor.sigma);
-    assert_eq!(threaded.accepted, reactor.accepted);
-    assert_eq!(threaded.rejected, reactor.rejected);
-    assert_eq!(threaded.server_bytes_sent, reactor.server_bytes_sent);
-    assert_eq!(threaded.stats.total_bytes(), reactor.stats.total_bytes());
-    assert_eq!(threaded.stats.total_msgs(), reactor.stats.total_msgs());
-    assert_eq!(
-        threaded.leader_vs_non_leader_bytes(),
-        reactor.leader_vs_non_leader_bytes()
-    );
-}
-
-/// The e2e_obs garbage flood, pointed at a reactor-mode node: 10 000
-/// well-framed envelopes from an unknown sender traverse the reactor's
-/// per-connection decoder into the server loop's mailbox and are dropped
-/// there with exact accounting, without disturbing the honest batch.
+/// The e2e_obs garbage flood, pointed at one node: 10 000 well-framed
+/// envelopes from an unknown sender traverse the reactor's per-connection
+/// decoder into the server loop's mailbox and are dropped there with exact
+/// accounting, without disturbing the honest batch.
 #[test]
 fn garbage_flood_against_the_reactor_is_fully_accounted() {
     const FLOOD: u64 = 10_000;
     const SUBMISSIONS: usize = 60;
     let cfg = ProcConfig::new(3, AfeSpec::Sum(8), FieldSpec::F64, SUBMISSIONS)
         .with_tamper_permille(100)
-        .with_seed(0x0B5E)
-        .with_io_mode(TcpIoMode::Reactor);
+        .with_seed(0x0B5E);
     let mut deployment = ProcDeployment::launch(cfg).expect("cluster launches");
     let target = deployment.node_data_addrs()[0];
 
